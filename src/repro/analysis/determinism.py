@@ -66,7 +66,7 @@ SIM_PACKAGES = (
     "repro.obs.session",
     "repro.obs.spans",
     # Only the job specs: the rest of repro.parallel (runner supervision,
-    # result cache, checkpoint journal) is orchestration that decides
+    # result cache) is orchestration that decides
     # *whether* a job runs, never *what* it computes — its wall-clock
     # reads and io happen strictly outside job execution, and the
     # kill/resume differentials in tests/test_resilience.py enforce that

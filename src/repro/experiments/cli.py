@@ -29,21 +29,13 @@ def _add_parallel_args(parser):
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="result cache directory (default: $REPRO_CACHE_DIR or "
-             "~/.cache/repro)",
+             "~/.cache/repro); an interrupted sweep resumes from it when "
+             "re-run",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
-        help="always re-simulate; do not read or write the result cache",
-    )
-    parser.add_argument(
-        "--checkpoint", default=None, metavar="FILE",
-        help="journal completed jobs to FILE so an interrupted sweep can "
-             "be resumed with --resume",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="serve already-journaled jobs from --checkpoint instead of "
-             "re-simulating them",
+        help="always re-simulate; do not read or write the result cache "
+             "(an interrupted sweep then cannot resume)",
     )
     parser.add_argument(
         "--job-timeout", type=float, default=None, metavar="SECONDS",
@@ -213,57 +205,16 @@ def _build_parser():
     _add_parallel_args(faults_parser)
     tracecmd.add_trace_args(faults_parser)
 
-    diff_parser = sub.add_parser(
-        "bench-diff",
-        help="print per-metric deltas between two BENCH_*.json artifacts",
-    )
-    diff_parser.add_argument(
-        "bench_old", metavar="BENCH_A.json",
-        help="baseline artifact (e.g. BENCH_parallel.json)",
-    )
-    diff_parser.add_argument(
-        "bench_new", metavar="BENCH_B.json",
-        help="candidate artifact (e.g. BENCH_engine.json)",
-    )
-
     tracecmd.add_trace_subcommand(sub)
     return parser
-
-
-def _run_bench_diff(args, stream):
-    from repro.experiments.benchdiff import (
-        diff_metrics,
-        format_diff,
-        load_metrics,
-    )
-
-    try:
-        old = load_metrics(args.bench_old)
-        new = load_metrics(args.bench_new)
-    except (OSError, ValueError) as exc:
-        print("concord-repro: error: {}".format(exc), file=sys.stderr)
-        return 2
-    rows = diff_metrics(old, new)
-    print(
-        format_diff(os.path.basename(args.bench_old),
-                    os.path.basename(args.bench_new), rows),
-        file=stream,
-    )
-    return 0
 
 
 def _build_runner(args, stream=None):
     """A ParallelRunner from the shared --jobs / cache flags.  Tracing
     forces a serial, uncached runner: pooled or cached simulations never
     touch this process's trace session."""
-    from repro.parallel import ParallelRunner, ResultCache, SweepCheckpoint
+    from repro.parallel import ParallelRunner, ResultCache
 
-    if args.resume and not args.checkpoint:
-        print(
-            "concord-repro: error: --resume requires --checkpoint FILE",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
     if tracecmd.tracing_requested(args):
         if stream is not None and (args.jobs not in (None, 1) or
                                    not args.no_cache):
@@ -274,22 +225,9 @@ def _build_runner(args, stream=None):
             )
         return tracecmd.serial_runner()
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    checkpoint = None
-    if args.checkpoint:
-        try:
-            checkpoint = SweepCheckpoint(args.checkpoint, resume=args.resume)
-        except (ValueError, OSError) as exc:
-            print("concord-repro: error: {}".format(exc), file=sys.stderr)
-            raise SystemExit(2) from None
-        if args.resume and len(checkpoint) and stream is not None:
-            print(
-                "  [checkpoint: resuming; {} job(s) already journaled "
-                "in {}]".format(len(checkpoint), args.checkpoint),
-                file=stream,
-            )
     try:
         return ParallelRunner(
-            jobs=args.jobs, cache=cache, checkpoint=checkpoint,
+            jobs=args.jobs, cache=cache,
             job_timeout=args.job_timeout, max_retries=args.max_retries,
         )
     except ValueError as exc:  # e.g. REPRO_JOBS=garbage in the environment
@@ -360,8 +298,7 @@ def _run_compare(args, stream):
         title="{} at {:.0f} kRps, quantum {:g}us, {} workers".format(
             workload.name, load / 1e3, args.quantum_us, args.workers),
     ), file=stream)
-    if (runner.stats["jobs_run"] or runner.stats["cache_hits"]
-            or runner.stats.get("checkpoint_hits")):
+    if runner.stats["jobs_run"] or runner.stats["cache_hits"]:
         print("  " + runner.summary_line(), file=stream)
     return 0
 
@@ -413,8 +350,7 @@ def _run_rack(args, stream):
                   args.system, args.servers, workload.name, load / 1e3,
                   args.load_frac, args.staleness_us),
     ), file=stream)
-    if (runner.stats["jobs_run"] or runner.stats["cache_hits"]
-            or runner.stats.get("checkpoint_hits")):
+    if runner.stats["jobs_run"] or runner.stats["cache_hits"]:
         print("  " + runner.summary_line(), file=stream)
     return 0
 
@@ -504,8 +440,7 @@ def _run_faults(args, stream):
                   args.scenario, args.system, args.servers, args.policy,
                   workload.name, load / 1e3, args.load_frac),
     ), file=stream)
-    if (runner.stats["jobs_run"] or runner.stats["cache_hits"]
-            or runner.stats.get("checkpoint_hits")):
+    if runner.stats["jobs_run"] or runner.stats["cache_hits"]:
         print("  " + runner.summary_line(), file=stream)
     return 0
 
@@ -545,13 +480,12 @@ def main(argv=None, stream=None):
     try:
         return _dispatch(args, stream)
     except SweepInterrupted as exc:
-        # The runner already flushed the journal; tell the user how to
-        # pick the sweep back up without losing the completed jobs.
+        # Every settled job is already cached; tell the user how to pick
+        # the sweep back up without losing them.
         print(
-            "concord-repro: interrupted with {} completed job(s) "
-            "journaled; resume with --resume --checkpoint {}".format(
-                exc.completed, exc.path,
-            ),
+            "concord-repro: interrupted; completed results are cached in "
+            "{} ({} from the batch in progress); re-run the same command "
+            "to resume".format(exc.cache_dir, exc.stored),
             file=sys.stderr,
         )
         return 130
@@ -576,9 +510,6 @@ def _dispatch(args, stream):
     if args.command == "faults":
         return _run_faults(args, stream)
 
-    if args.command == "bench-diff":
-        return _run_bench_diff(args, stream)
-
     if args.command == "trace":
         return tracecmd.run_trace_command(args, stream)
 
@@ -601,8 +532,7 @@ def _dispatch(args, stream):
             ),
             file=stream,
         )
-    if (runner.stats["jobs_run"] or runner.stats["cache_hits"]
-            or runner.stats.get("checkpoint_hits")):
+    if runner.stats["jobs_run"] or runner.stats["cache_hits"]:
         print("  " + runner.summary_line(), file=stream)
     return 0
 

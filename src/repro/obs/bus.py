@@ -5,7 +5,7 @@ talks to while instrumented.  Components hold a ``probes`` attribute that
 is ``None`` by default and guard every probe site with ``if probes is not
 None`` — so the uninstrumented hot path costs one attribute load and a
 falsy check per site, and the engine drain loop is not touched at all
-(``benchmarks/test_bench_obs.py`` pins the overhead).
+(``bench/run.py`` tracks the untraced throughput).
 
 The bus fans each probe out three ways:
 

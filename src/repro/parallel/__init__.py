@@ -1,8 +1,8 @@
 """Parallel sweep execution: supervised process-pool fan-out of
-independent simulation jobs with a content-addressed result cache and a
-resumable checkpoint journal.
+independent simulation jobs with a content-addressed result cache that
+doubles as the resume store.
 
-Four layers:
+Three layers:
 
 * :mod:`repro.parallel.jobs` — picklable job specs (:class:`SimJob`,
   :class:`ServerJob`, :class:`RackJob`, :class:`FaultJob`) whose
@@ -16,11 +16,10 @@ Four layers:
 * :mod:`repro.parallel.cache` — :class:`ResultCache`, keyed by a stable
   hash of (machine, config, workload, arrival process, seed, request
   count, code version), so re-running ``run all`` only re-simulates what
-  changed; corrupt entries self-heal into counted misses;
-* :mod:`repro.parallel.checkpoint` — :class:`SweepCheckpoint`, an
-  append-only CRC-verified journal of completed jobs, so an interrupted
-  sweep (:class:`SweepInterrupted`) resumes bit-identically from the
-  last completed job.
+  changed; corrupt entries self-heal into counted misses.  Every result
+  is stored the moment its job settles, so an interrupted sweep
+  (:class:`SweepInterrupted`) resumes bit-identically by re-running it
+  against the same cache; only jobs without a stable description re-run.
 """
 
 from repro.parallel.cache import (
@@ -29,10 +28,6 @@ from repro.parallel.cache import (
     code_fingerprint,
     default_cache_dir,
     stable_describe,
-)
-from repro.parallel.checkpoint import (
-    SweepCheckpoint,
-    checkpoint_job_key,
 )
 from repro.parallel.jobs import (
     FaultJob, RackJob, ServerJob, SimJob, execute_job,
@@ -65,6 +60,4 @@ __all__ = [
     "stable_describe",
     "code_fingerprint",
     "default_cache_dir",
-    "SweepCheckpoint",
-    "checkpoint_job_key",
 ]

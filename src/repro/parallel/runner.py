@@ -19,10 +19,11 @@ not a best-effort script:
 * A worker that crashes hard (``os._exit``, segfault) is detected via the
   broken-pool signal; the jobs it took down are retried in isolation and
   quarantined if they keep killing workers.
-* A :class:`~repro.parallel.checkpoint.SweepCheckpoint` journals every
-  completed job as it lands; SIGINT/SIGTERM during a checkpointed
-  ``map()`` flushes the journal and raises :class:`SweepInterrupted` with
-  a resume hint instead of losing uncached work.
+* The :class:`~repro.parallel.cache.ResultCache` stores every completed
+  job as it lands, so it is also the resume store: SIGINT/SIGTERM during
+  a cached ``map()`` stops between jobs and raises
+  :class:`SweepInterrupted`; re-running the sweep against the same cache
+  picks up where it stopped.
 
 Degradation is graceful, counted, and warned about (one
 :class:`RuntimeWarning` per runner, so a sweep that quietly lost its
@@ -122,16 +123,16 @@ class Quarantined:
 
 
 class SweepInterrupted(KeyboardInterrupt):
-    """SIGINT/SIGTERM during a checkpointed ``map()``: the journal was
-    flushed first, so ``completed`` jobs survive — resume by re-running
-    with the same checkpoint path."""
+    """SIGINT/SIGTERM during a cached ``map()``: every job that settled
+    is already in the cache (``stored`` of them by this ``map()``) —
+    resume by re-running the sweep against ``cache_dir``."""
 
-    def __init__(self, path, completed):
-        self.path = path
-        self.completed = completed
+    def __init__(self, cache_dir, stored):
+        self.cache_dir = cache_dir
+        self.stored = stored
         super().__init__(
-            "sweep interrupted; {} completed job(s) journaled to {}".format(
-                completed, path
+            "sweep interrupted; {} result(s) stored in {}".format(
+                stored, cache_dir
             )
         )
 
@@ -180,7 +181,14 @@ def _warm_worker():
     """Pool initializer: pre-import the heavy simulation modules so the
     first job a worker receives doesn't pay import cost.  A no-op under
     the fork start method (the child inherits the parent's modules) but
-    decisive under spawn."""
+    decisive under spawn.
+
+    A worker forked inside a cached ``map()`` inherits the parent's
+    stop-between-jobs signal handlers.  SIGTERM gets its default back so
+    that :meth:`ParallelRunner.close` can terminate the worker; SIGINT
+    keeps the inherited handler, so a terminal ^C reaches the parent as
+    one clean interrupt instead of a KeyboardInterrupt inside each job."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     import repro.cluster.rack  # noqa: F401
     import repro.core.server  # noqa: F401
     import repro.workloads.named  # noqa: F401
@@ -207,7 +215,7 @@ def _pickle_culprit(job):
 
 class ParallelRunner:
     """Maps job specs to results, in order, with optional parallelism,
-    caching, checkpointing, and per-job supervision.
+    caching, and per-job supervision.
 
     Parameters
     ----------
@@ -216,17 +224,14 @@ class ParallelRunner:
         ``<= 0`` means one per core.  1 executes in-process.
     cache:
         Optional :class:`~repro.parallel.cache.ResultCache`.  Jobs whose
-        stable content hash is already stored are not re-simulated.
+        stable content hash is already stored are not re-simulated, and
+        each result is stored as its job settles; SIGINT/SIGTERM during
+        ``map()`` then raises :class:`SweepInterrupted` between jobs.
     chunksize:
         Jobs per pool task.  Default: batch split into ~4 chunks per
         worker, so stragglers (high-load points take longest) rebalance.
         Ignored (forced to 1) when ``job_timeout`` is set — watchdog
         precision needs per-job tasks.
-    checkpoint:
-        Optional :class:`~repro.parallel.checkpoint.SweepCheckpoint`.
-        Completed jobs are journaled as they land and served back on
-        resume; SIGINT/SIGTERM during ``map()`` flushes the journal and
-        raises :class:`SweepInterrupted` instead of dying dirty.
     job_timeout:
         Watchdog seconds per job (pooled execution only — an in-process
         job cannot be preempted).  ``None`` disables the watchdog.
@@ -236,11 +241,10 @@ class ParallelRunner:
     """
 
     def __init__(self, jobs=None, cache=None, chunksize=None,
-                 checkpoint=None, job_timeout=None, max_retries=2):
+                 job_timeout=None, max_retries=2):
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
         self.chunksize = chunksize
-        self.checkpoint = checkpoint
         if job_timeout is not None and job_timeout <= 0:
             raise ValueError(
                 "job_timeout must be positive seconds or None, got "
@@ -258,7 +262,6 @@ class ParallelRunner:
             "jobs_run": 0,
             "cache_hits": 0,
             "cache_misses": 0,
-            "checkpoint_hits": 0,
             "parallel_batches": 0,
             "serial_batches": 0,
             "fallbacks": 0,
@@ -282,11 +285,10 @@ class ParallelRunner:
         #: Wall seconds spent supervising parallel dispatch, versus the
         #: in-worker compute seconds — the footer's speedup estimate.
         self._parallel_wall = 0.0
-        #: Monotone count of jobs ever submitted to :meth:`map` — the
-        #: positional fallback identity for checkpoint keys.
-        self._job_counter = 0
-        #: Set by the signal handler installed around checkpointed maps.
+        #: Set by the signal handler installed around cached maps.
         self._interrupted = False
+        #: ``cache.stores`` when the current supervised map began.
+        self._stores_before = 0
 
     # -- the public API -----------------------------------------------------
 
@@ -298,8 +300,6 @@ class ParallelRunner:
         jobs = list(jobs)
         results = [_MISSING] * len(jobs)
         keys = [None] * len(jobs)
-        positions = range(self._job_counter, self._job_counter + len(jobs))
-        self._job_counter += len(jobs)
         cache = self.cache
         if cache is not None:
             for i, job in enumerate(jobs):
@@ -312,35 +312,15 @@ class ParallelRunner:
             hits = sum(1 for r in results if r is not _MISSING)
             self.stats["cache_hits"] += hits
             self.telemetry.count("runner.cache_hits", hits)
-        checkpoint = self.checkpoint
-        ck_keys = [None] * len(jobs)
-        if checkpoint is not None:
-            from repro.parallel.checkpoint import checkpoint_job_key
-
-            ck_hits = 0
-            for i, job in enumerate(jobs):
-                if results[i] is not _MISSING:
-                    continue
-                ck_keys[i] = checkpoint_job_key(job, positions[i])
-                hit, value = checkpoint.get(ck_keys[i])
-                if hit:
-                    results[i] = value
-                    ck_hits += 1
-                    if cache is not None and keys[i] is not None:
-                        cache.put(keys[i], value)
-            self.stats["checkpoint_hits"] += ck_hits
-            self.telemetry.count("runner.checkpoint_hits", ck_hits)
         pending = [i for i, r in enumerate(results) if r is _MISSING]
         if pending:
             def deliver(j, value, seconds):
-                # Called the moment a job settles — journal and cache it
-                # immediately so nothing completed can be lost later.
+                # Called the moment a job settles — cache it immediately
+                # so nothing completed can be lost later.
                 i = pending[j]
                 self.telemetry.sample("runner.job_seconds", i, seconds)
                 if cache is not None and keys[i] is not None:
                     cache.put(keys[i], value)
-                if checkpoint is not None and ck_keys[i] is not None:
-                    checkpoint.record(ck_keys[i], value)
 
             with self._supervised():
                 outputs = self._execute(
@@ -360,22 +340,23 @@ class ParallelRunner:
         return results
 
     def run(self, job):
-        """Execute a single job (cache- and checkpoint-aware)."""
+        """Execute a single job (cache-aware)."""
         return self.map([job])[0]
 
     # -- interrupt supervision ----------------------------------------------
 
     @contextmanager
     def _supervised(self):
-        """Install SIGINT/SIGTERM handlers around a checkpointed map so
-        an interrupt flushes the journal and stops between jobs instead
-        of tearing mid-write.  A second signal aborts immediately."""
-        if self.checkpoint is None or (
+        """Install SIGINT/SIGTERM handlers around a cached map so an
+        interrupt stops between jobs, with every settled result already
+        stored.  A second signal aborts immediately."""
+        if self.cache is None or (
             threading.current_thread() is not threading.main_thread()
         ):
             yield
             return
         self._interrupted = False
+        self._stores_before = self.cache.stores
         previous = {}
 
         def handler(signum, frame):
@@ -397,13 +378,9 @@ class ParallelRunner:
     def _check_interrupt(self):
         if not self._interrupted:
             return
-        checkpoint = self.checkpoint
         self.close()
-        if checkpoint is not None:
-            checkpoint.flush()
         raise SweepInterrupted(
-            str(checkpoint.path) if checkpoint is not None else None,
-            len(checkpoint) if checkpoint is not None else 0,
+            str(self.cache.cache_dir), self.cache.stores - self._stores_before
         )
 
     # -- execution strategies ----------------------------------------------
@@ -546,7 +523,7 @@ class ParallelRunner:
             if broken or submit_error is not None:
                 self.close()
             # Errors raised *by a job* are deterministic: re-raise after
-            # the whole round settled (and was checkpointed).  Raising
+            # the whole round settled (and was cached).  Raising
             # the lowest job index keeps *which* error surfaces
             # independent of future-completion order.
             if error is None and blamed["errors"]:
@@ -688,14 +665,15 @@ class ParallelRunner:
         self._pool = None
         self._pool_workers = 0
         if pool is not None:
+            # shutdown() never kills a stuck worker, and it drops the
+            # process table; take it first — the watchdog needs them gone
+            # before the retry round.
+            procs = dict(getattr(pool, "_processes", None) or {})
             try:
                 pool.shutdown(wait=False, cancel_futures=True)
             except Exception:
                 pass
-            # shutdown() never kills a stuck worker; the watchdog needs
-            # them gone before the retry round.
-            procs = getattr(pool, "_processes", None) or {}
-            for proc in list(procs.values()):
+            for proc in procs.values():
                 try:
                     proc.terminate()
                 except Exception:
@@ -730,7 +708,7 @@ class ParallelRunner:
 
     def summary_line(self):
         """One-line telemetry footer for sweep CLIs: jobs run, cache
-        hit/miss split, checkpoint traffic, total and slowest per-job
+        hit/miss split, total and slowest per-job
         wall time, retry/quarantine counts (with culprits named), and —
         when a pool ran — parallel wall vs estimated serial cost, so a
         sweep that parallelized into a *slowdown* can never report
@@ -751,10 +729,6 @@ class ParallelRunner:
             cache_part,
             "jobs={}".format(self.jobs),
         ]
-        if self.checkpoint is not None:
-            parts.append("checkpoint {} hits, {} appends".format(
-                self.stats["checkpoint_hits"], self.checkpoint.appends
-            ))
         if self.stats["retries"]:
             parts.append("{} retries".format(self.stats["retries"]))
         speedup = self.parallel_speedup()

@@ -3,21 +3,8 @@
 Time is an integer number of CPU cycles.  Events are callbacks scheduled at
 absolute timestamps; ties are broken by a monotonically increasing sequence
 number so execution order is deterministic and FIFO among same-time events.
-That ``(time, seq)`` tie-break rule is the contract shared by every queue
-backend: any two backends drain the same schedule in exactly the same
-order, so simulation results are bit-identical across backends.
-
-Two queue backends implement the contract:
-
-``heap`` (default)
-    A binary heap of ``(time, seq, ...)`` tuples (C-level tuple compares)
-    with counted lazy cancellation and amortized in-place compaction.
-``wheel``
-    A hierarchical timing wheel (:mod:`repro.sim.wheel`) with O(1)
-    schedule/cancel, bitmap slot occupancy, and lazy cascading.
-
-Select with ``Simulator(queue="heap"|"wheel")`` or the ``REPRO_QUEUE``
-environment variable.
+The queue is a binary heap of ``(time, seq, ...)`` tuples (C-level tuple
+compares) with counted lazy cancellation and amortized in-place compaction.
 
 Scheduling comes in two shapes:
 
@@ -38,15 +25,12 @@ comparisons never reach the mismatched tails.
 """
 
 import heapq
-import os
-import warnings
 
 __all__ = [
     "Event",
     "Simulator",
     "SimulationError",
     "COMPACT_MIN_DEAD",
-    "resolve_queue",
 ]
 
 #: Compaction never triggers below this many dead queue entries; above it,
@@ -54,28 +38,6 @@ __all__ = [
 #: is O(queue) and removes >= half the entries, so total compaction work is
 #: amortized O(1) per cancellation.
 COMPACT_MIN_DEAD = 256
-
-_QUEUE_KINDS = ("heap", "wheel")
-
-
-def resolve_queue(queue=None):
-    """Normalize a queue-backend name: explicit argument, else
-    ``$REPRO_QUEUE``, else ``"heap"``.
-
-    Both backends drain any schedule in the same (time, seq) order, so the
-    choice never changes simulation results — only wall-clock speed.
-    """
-    if queue is None:
-        # Backend selection only: results are bit-identical across
-        # backends (enforced by tests/test_sim_wheel.py differentials).
-        queue = os.environ.get("REPRO_QUEUE", "").strip() or "heap"  # repro-san: ignore[DET005] -- queue backend selection; backends are proven bit-identical, so this ambient read cannot change results
-    if queue not in _QUEUE_KINDS:
-        raise ValueError(
-            "unknown queue backend {!r}; known: {}".format(
-                queue, ", ".join(_QUEUE_KINDS)
-            )
-        )
-    return queue
 
 
 class SimulationError(RuntimeError):
@@ -122,72 +84,26 @@ _new_event = Event.__new__
 
 
 class Simulator:
-    """Drains an event queue in ``(time, seq)`` order.
+    """Drains an event queue in ``(time, seq)`` order."""
 
-    Parameters
-    ----------
-    trace:
-        Deprecated: optional callable invoked as ``trace(time, name)``
-        before each event fires.  Use the probe bus instead
-        (:meth:`attach_probes`, or a :func:`repro.obs.session.tracing`
-        session with ``engine_events=True``); the callback still works
-        through a compatibility shim.
-    queue:
-        Event-queue backend: ``"heap"`` (default) or ``"wheel"``.
-        ``None`` consults ``$REPRO_QUEUE``.  Backends are bit-identical;
-        see docs/performance.md for how to choose.
-    """
-
-    def __new__(cls, trace=None, queue=None):
-        if cls is Simulator and resolve_queue(queue) == "wheel":
-            from repro.sim.wheel import WheelSimulator
-
-            return object.__new__(WheelSimulator)
-        return object.__new__(cls)
-
-    def __init__(self, trace=None, queue=None):
-        if trace is not None:
-            warnings.warn(
-                "Simulator(trace=...) is deprecated; attach a probe bus "
-                "instead (Simulator.attach_probes, or repro.obs.tracing "
-                "with TraceConfig(engine_events=True))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+    def __init__(self):
         self.now = 0
         self._heap = []
         self._seq = 0
-        self._trace = trace
+        self._trace = None
         self._events_run = 0
         self._events_cancelled = 0
         self._dead_in_heap = 0
         self._compactions = 0
         self._running = False
 
-    @property
-    def queue(self):
-        """Name of the active event-queue backend."""
-        return "heap"
-
     def attach_probes(self, bus):
         """Feed every fired event into ``bus.sim_event(time, name)``.
 
-        This is the probe-bus replacement for the deprecated ``trace``
-        callback; if a legacy callback is also installed the two compose
-        (callback first, then the bus).  The drain loop is unchanged:
-        the sink rides the existing hoisted trace branch, so the
+        The sink rides the hoisted trace branch of the drain loop, so the
         no-observer path stays exactly as fast.
         """
-        sink = bus.sim_event
-        prev = self._trace
-        if prev is None:
-            self._trace = sink
-        else:
-            def fanout(time, name):
-                prev(time, name)
-                sink(time, name)
-
-            self._trace = fanout
+        self._trace = bus.sim_event
         return self
 
     # -- scheduling ---------------------------------------------------------
@@ -195,8 +111,7 @@ class Simulator:
     # schedule/after/post are the hottest entry points in the package, so
     # each inlines validation + Event construction + push rather than
     # layering through a shared helper (a call frame per event is ~15% of
-    # the whole loop).  The wheel backend overrides all four with the same
-    # structure; keep them in sync.
+    # the whole loop).
 
     def schedule(self, time, callback, name=""):
         """Schedule ``callback`` at absolute cycle ``time``.
@@ -431,11 +346,7 @@ class Simulator:
 
     @property
     def heap_size(self):
-        """Raw queue entries, live plus not-yet-swept cancelled ones.
-
-        Named for the default backend; the wheel backend reports its own
-        raw entry count here (never a stale heap number).
-        """
+        """Raw queue entries, live plus not-yet-swept cancelled ones."""
         return len(self._heap)
 
     @property

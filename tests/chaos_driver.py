@@ -1,21 +1,23 @@
 """Subprocess driver for kill-then-resume differential tests.
 
-``tests/test_resilience.py`` (and the ``harness-chaos`` CI job) launch
-this script as a real OS process, kill it mid-sweep (SIGINT via
-``--interrupt-after-appends``, or SIGKILL from outside), and re-launch it
-with ``--resume``.  The resumed run must produce a digest bit-identical
-to an uninterrupted run of the same sweep — that is the whole point of
-the checkpoint layer, and it can only be demonstrated across genuine
-process deaths, not monkeypatches.
+``tests/test_resilience.py`` launches this script as a real OS process,
+kills it mid-sweep (SIGINT via ``--interrupt-after-stores``, SIGKILL from
+outside or from inside a cache write via ``--kill-during-store``), and
+re-launches it against the same ``--cache-dir``.  The resumed run must
+produce a digest bit-identical to an uninterrupted run of the same sweep
+— that is the whole point of storing results as they land, and it can
+only be demonstrated across genuine process deaths, not monkeypatches.
 
 Exit codes: 0 on a completed sweep (digest written to ``--digest-out``),
-130 when the sweep was interrupted (checkpoint flushed, resume possible).
+130 when the sweep was interrupted (settled results cached, resume
+possible).
 """
 
 import argparse
 import hashlib
 import json
 import os
+import pickle
 import signal
 import sys
 import threading
@@ -31,8 +33,8 @@ from repro.hardware import c6420  # noqa: E402
 from repro.parallel import (  # noqa: E402
     FaultJob,
     ParallelRunner,
+    ResultCache,
     SimJob,
-    SweepCheckpoint,
     SweepInterrupted,
     stable_describe,
 )
@@ -97,8 +99,7 @@ def digest_results(results):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--checkpoint", required=True)
-    parser.add_argument("--resume", action="store_true")
+    parser.add_argument("--cache-dir", required=True)
     parser.add_argument("--mode", choices=("sim", "faults"), default="sim")
     parser.add_argument("--digest-out", required=True)
     parser.add_argument("--requests", type=int, default=1200)
@@ -106,9 +107,14 @@ def main(argv=None):
     parser.add_argument("--job-timeout", type=float, default=None)
     parser.add_argument("--max-retries", type=int, default=2)
     parser.add_argument(
-        "--interrupt-after-appends", type=int, default=None,
-        help="send SIGINT to this process once the checkpoint has "
-             "journaled this many new results",
+        "--interrupt-after-stores", type=int, default=None,
+        help="send SIGINT to this process once the cache has stored "
+             "this many new results",
+    )
+    parser.add_argument(
+        "--kill-during-store", type=int, default=None,
+        help="SIGKILL this process from inside cache write N+1, after "
+             "half of its pickle has reached disk",
     )
     parser.add_argument("--crash-at", type=int, default=None,
                         help="replace job N with a CrashJob")
@@ -131,19 +137,33 @@ def main(argv=None):
             inner=jobs[args.crash_at], marker=args.crash_marker
         )
 
-    checkpoint = SweepCheckpoint(args.checkpoint, resume=args.resume)
+    cache = ResultCache(args.cache_dir)
     runner = ParallelRunner(
-        jobs=args.jobs, cache=None, checkpoint=checkpoint,
+        jobs=args.jobs, cache=cache,
         job_timeout=args.job_timeout, max_retries=args.max_retries,
     )
 
-    if args.interrupt_after_appends is not None:
+    if args.interrupt_after_stores is not None:
         def fire_when_ready():
-            while checkpoint.appends < args.interrupt_after_appends:
+            while cache.stores < args.interrupt_after_stores:
                 time.sleep(0.002)
             os.kill(os.getpid(), signal.SIGINT)
 
         threading.Thread(target=fire_when_ready, daemon=True).start()
+
+    if args.kill_during_store is not None:
+        real_dump = pickle.dump
+
+        def torn_dump(value, f, protocol=None):
+            if cache.stores < args.kill_during_store:
+                return real_dump(value, f, protocol=protocol)
+            blob = pickle.dumps(value, protocol=protocol)
+            f.write(blob[:len(blob) // 2])
+            f.flush()
+            os.fsync(f.fileno())
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        pickle.dump = torn_dump
 
     try:
         if args.traced:
@@ -154,9 +174,8 @@ def main(argv=None):
         else:
             results = runner.map(jobs)
     except SweepInterrupted as exc:
-        print("INTERRUPTED appends={} completed={}".format(
-            checkpoint.appends, exc.completed))
-        checkpoint.close()
+        print("INTERRUPTED stores={} stored={}".format(
+            cache.stores, exc.stored))
         return 130
     finally:
         runner.close()
@@ -165,13 +184,12 @@ def main(argv=None):
     Path(args.digest_out).write_text(json.dumps({
         "digest": digest,
         "results": len(results),
-        "checkpoint_hits": runner.stats["checkpoint_hits"],
+        "cache_hits": runner.stats["cache_hits"],
         "jobs_run": runner.stats["jobs_run"],
         "retries": runner.stats["retries"],
         "quarantined": runner.stats["quarantined"],
         "footer": runner.summary_line(),
     }))
-    checkpoint.close()
     print("OK digest={}".format(digest))
     return 0
 

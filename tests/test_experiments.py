@@ -134,6 +134,24 @@ class TestCli:
         with pytest.raises(KeyError):
             cli_main(["run", "fig99"], stream=io.StringIO())
 
+    def test_interrupted_sweep_exits_130_naming_the_cache(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.experiments import cli
+        from repro.parallel import SweepInterrupted
+
+        def interrupted(*args, **kwargs):
+            raise SweepInterrupted(str(tmp_path), 3)
+
+        monkeypatch.setattr(cli, "run_experiment", interrupted)
+        code = cli_main(
+            ["run", "fig2", "--quality", "smoke",
+             "--cache-dir", str(tmp_path)],
+            stream=io.StringIO(),
+        )
+        assert code == 130
+        hint = capsys.readouterr().err
+        assert str(tmp_path) in hint and "re-run the same command" in hint
+
 
 class TestCompareCommand:
     def test_compare_runs_and_prints_table(self):

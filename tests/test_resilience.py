@@ -1,6 +1,6 @@
-"""Tests for the sweep-supervision layer: checkpoint/resume journals,
-per-job watchdogs and retries, quarantine, and the self-healing result
-cache.
+"""Tests for the sweep-supervision layer: resume through the result
+cache, per-job watchdogs and retries, quarantine, and the self-healing
+result cache.
 
 The load-bearing property throughout is the repo's usual one: resilience
 must never change results.  A resumed sweep, a sweep that lost a worker,
@@ -30,10 +30,7 @@ from repro.parallel import (
     Quarantined,
     ResultCache,
     SimJob,
-    SweepCheckpoint,
-    checkpoint_job_key,
 )
-from repro.parallel.checkpoint import CHECKPOINT_MAGIC
 from repro.workloads.named import bimodal_50_1_50_100
 
 DRIVER = Path(__file__).resolve().parent / "chaos_driver.py"
@@ -54,6 +51,27 @@ class HangJob:
     def run(self):
         time.sleep(self.seconds)
         return "hung job finished (watchdog failed)"
+
+
+@dataclass(frozen=True)
+class PidHangJob:
+    """A :class:`HangJob` that first writes its worker's pid to a file."""
+
+    pidfile: str
+
+    def run(self):
+        Path(self.pidfile).write_text(str(os.getpid()))
+        time.sleep(30.0)
+        return "hung job finished (watchdog failed)"
+
+
+def _process_alive(pid):
+    """True while ``pid`` runs; a zombie awaiting its reap is dead."""
+    try:
+        with open("/proc/{}/stat".format(pid)) as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -99,153 +117,6 @@ class BadReturnJob:
 
     def run(self):
         return lambda: None
-
-
-# -- checkpoint journal -------------------------------------------------------
-
-
-class TestCheckpointJournal:
-    def test_roundtrip_and_resume(self, tmp_path):
-        path = tmp_path / "sweep.ckpt"
-        with SweepCheckpoint(path, fingerprint="v1") as ckpt:
-            ckpt.record("a", {"x": 1})
-            ckpt.record("b", [1.5, "two"])
-            assert ckpt.appends == 2
-            assert ckpt.get("a") == (True, {"x": 1})
-            assert ckpt.get("missing") == (False, None)
-        resumed = SweepCheckpoint(path, fingerprint="v1")
-        assert resumed.loaded == 2
-        assert resumed.get("b") == (True, [1.5, "two"])
-        assert "b" in resumed and len(resumed) == 2
-        resumed.close()
-
-    def test_torn_tail_is_truncated_not_fatal(self, tmp_path):
-        path = tmp_path / "sweep.ckpt"
-        with SweepCheckpoint(path, fingerprint="v1") as ckpt:
-            ckpt.record("a", 1)
-            ckpt.record("b", 2)
-        # A SIGKILL mid-append leaves a partial frame at the tail.
-        with open(path, "ab") as f:
-            f.write(b"\x07torn")
-        size_with_tail = path.stat().st_size
-        resumed = SweepCheckpoint(path, fingerprint="v1")
-        assert resumed.loaded == 2
-        assert resumed.dropped == 1
-        # The torn bytes are gone; appends continue on a frame boundary.
-        resumed.record("c", 3)
-        resumed.close()
-        assert path.stat().st_size < size_with_tail + 50
-        final = SweepCheckpoint(path, fingerprint="v1")
-        assert final.loaded == 3 and final.dropped == 0
-        final.close()
-
-    def test_corrupt_record_drops_it_and_the_tail(self, tmp_path):
-        path = tmp_path / "sweep.ckpt"
-        with SweepCheckpoint(path, fingerprint="v1") as ckpt:
-            ckpt.record("a", 1)
-            ckpt.record("b", 2)
-        blob = bytearray(path.read_bytes())
-        blob[-1] ^= 0xFF  # flip one payload byte in the last record
-        path.write_bytes(bytes(blob))
-        resumed = SweepCheckpoint(path, fingerprint="v1")
-        assert resumed.loaded == 1
-        assert resumed.dropped == 1
-        assert resumed.get("a") == (True, 1)
-        assert resumed.get("b") == (False, None)
-        resumed.close()
-
-    def test_stale_fingerprint_starts_fresh_with_warning(self, tmp_path):
-        path = tmp_path / "sweep.ckpt"
-        with SweepCheckpoint(path, fingerprint="old-code") as ckpt:
-            ckpt.record("a", 1)
-        with pytest.warns(RuntimeWarning, match="different code version"):
-            resumed = SweepCheckpoint(path, fingerprint="new-code")
-        assert resumed.stale
-        assert len(resumed) == 0
-        resumed.record("a", 99)
-        resumed.close()
-        fresh = SweepCheckpoint(path, fingerprint="new-code")
-        assert fresh.get("a") == (True, 99)
-        fresh.close()
-
-    def test_foreign_file_is_refused(self, tmp_path):
-        path = tmp_path / "notes.txt"
-        path.write_bytes(b"not a checkpoint at all, much longer than magic")
-        with pytest.raises(ValueError, match="bad magic"):
-            SweepCheckpoint(path, fingerprint="v1")
-        # resume=False means "discard the old journal", not "clobber
-        # arbitrary files" — a foreign file is refused there too.
-        with pytest.raises(ValueError, match="bad magic"):
-            SweepCheckpoint(path, fingerprint="v1", resume=False)
-        # Refusal means untouched: the file must not be clobbered.
-        assert path.read_bytes().startswith(b"not a checkpoint")
-
-    def test_resume_false_overwrites(self, tmp_path):
-        path = tmp_path / "sweep.ckpt"
-        with SweepCheckpoint(path, fingerprint="v1") as ckpt:
-            ckpt.record("a", 1)
-        fresh = SweepCheckpoint(path, fingerprint="v1", resume=False)
-        assert fresh.loaded == 0
-        assert fresh.get("a") == (False, None)
-        fresh.close()
-
-    def test_unpicklable_result_is_skipped_not_fatal(self, tmp_path):
-        ckpt = SweepCheckpoint(tmp_path / "sweep.ckpt", fingerprint="v1")
-        with pytest.warns(RuntimeWarning, match="could not journal"):
-            assert ckpt.record("a", lambda: None) is False
-        assert ckpt.skipped == 1
-        assert ckpt.record("b", 2) is True
-        ckpt.close()
-
-    def test_write_failure_disables_journaling_not_the_sweep(
-            self, tmp_path, monkeypatch):
-        """A disk-full/quota OSError mid-append warns once, counts under
-        ``skipped``, and turns journaling off — it must never propagate
-        through record() and abort the sweep (the 'journaling is never
-        fatal' contract)."""
-        ckpt = SweepCheckpoint(tmp_path / "sweep.ckpt", fingerprint="v1")
-        assert ckpt.record("a", 1) is True
-
-        def full_disk(kind, payload):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(ckpt, "_write_frame", full_disk)
-        with pytest.warns(RuntimeWarning, match="write failure"):
-            assert ckpt.record("b", 2) is False
-        assert ckpt.skipped == 1
-        # Journaling is off; later records are silent no-ops, and the
-        # settled value is still served from memory for this run.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert ckpt.record("c", 3) is False
-        assert ckpt.get("b") == (True, 2)
-        ckpt.flush()  # flush/close on a disabled journal stay no-ops
-        ckpt.close()
-        # On resume only the records that hit the disk come back.
-        resumed = SweepCheckpoint(tmp_path / "sweep.ckpt", fingerprint="v1")
-        assert resumed.loaded == 1
-        assert resumed.get("a") == (True, 1)
-        assert resumed.get("b") == (False, None)
-        resumed.close()
-
-    def test_magic_prefix(self, tmp_path):
-        path = tmp_path / "sweep.ckpt"
-        SweepCheckpoint(path, fingerprint="v1").close()
-        assert path.read_bytes().startswith(CHECKPOINT_MAGIC)
-
-    def test_job_keys_content_addressed_with_positional_fallback(self):
-        job = _sim_job()
-        assert checkpoint_job_key(job, 0) == checkpoint_job_key(job, 17)
-        assert checkpoint_job_key(_sim_job(load=3e5), 0) != (
-            checkpoint_job_key(job, 0)
-        )
-
-        @dataclass(frozen=True)
-        class Opaque:
-            factory: object
-
-        opaque = Opaque(factory=lambda: None)
-        assert checkpoint_job_key(opaque, 5) == "pos:00000005"
 
 
 # -- self-healing result cache ------------------------------------------------
@@ -333,15 +204,30 @@ class TestWatchdogAndQuarantine:
 
     def test_job_error_propagates_after_checkpointing_survivors(
             self, tmp_path):
-        ckpt = SweepCheckpoint(tmp_path / "sweep.ckpt", fingerprint=None)
-        runner = ParallelRunner(jobs=2, checkpoint=ckpt)
+        cache = ResultCache(tmp_path)
+        runner = ParallelRunner(jobs=2, cache=cache)
         batch = [QuickJob(1), QuickJob(2), ErrorJob(), QuickJob(3)]
         with pytest.raises(ValueError, match="bad sweep parameters"):
             runner.map(batch)
-        # Every job that finished before the error surfaced was journaled.
-        assert ckpt.appends == 3
+        # Every job that finished before the error surfaced was cached.
+        assert cache.stores == 3
         runner.close()
-        ckpt.close()
+
+    def test_watchdog_kills_the_hung_worker(self, tmp_path):
+        """Recycling the pool terminates the hung worker instead of
+        leaving it running — also when the pool was forked inside a
+        cached map(), under the runner's own signal handlers."""
+        pidfile = tmp_path / "hung.pid"
+        runner = ParallelRunner(jobs=2, cache=ResultCache(tmp_path / "c"),
+                                job_timeout=0.4, max_retries=0)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            runner.map([QuickJob(1), PidHangJob(str(pidfile))])
+        runner.close()
+        pid = int(pidfile.read_text())
+        deadline = time.monotonic() + 10
+        while _process_alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _process_alive(pid)
 
     def test_retry_counters_reach_the_footer(self):
         runner = ParallelRunner(jobs=2, job_timeout=0.4, max_retries=0)
@@ -418,65 +304,67 @@ def _digest(tmp_path, name):
     return json.loads((tmp_path / name).read_text())
 
 
+def _cache_entries(cache_dir):
+    return sorted(cache_dir.glob("*/*.pkl"))
+
+
 class TestKillResumeDifferential:
     def test_sigint_resume_is_bit_identical_sim(self, tmp_path):
-        ref = _drive(tmp_path, "--checkpoint", "ref.ckpt",
+        ref = _drive(tmp_path, "--cache-dir", "ref-cache",
                      "--digest-out", "ref.json", "--requests", 600)
         assert "OK digest=" in ref.stdout
 
         killed = _drive(
-            tmp_path, "--checkpoint", "run.ckpt", "--digest-out", "run.json",
-            "--requests", 600, "--interrupt-after-appends", 2, check=False,
+            tmp_path, "--cache-dir", "run-cache", "--digest-out", "run.json",
+            "--requests", 600, "--interrupt-after-stores", 2, check=False,
         )
         assert killed.returncode == 130, killed.stdout + killed.stderr
         assert "INTERRUPTED" in killed.stdout
         assert not (tmp_path / "run.json").exists()
 
-        resumed = _drive(tmp_path, "--checkpoint", "run.ckpt", "--resume",
+        resumed = _drive(tmp_path, "--cache-dir", "run-cache",
                          "--digest-out", "run.json", "--requests", 600)
         assert "OK digest=" in resumed.stdout
         ref_d, run_d = _digest(tmp_path, "ref.json"), _digest(
             tmp_path, "run.json")
         assert run_d["digest"] == ref_d["digest"]
-        assert run_d["checkpoint_hits"] >= 2
+        assert run_d["cache_hits"] >= 2
         assert run_d["jobs_run"] < ref_d["jobs_run"]
-        assert "checkpoint" in run_d["footer"]
+        assert "{} cache hits".format(run_d["cache_hits"]) in run_d["footer"]
 
     def test_sigkill_resume_is_bit_identical_faults(self, tmp_path):
         """The cluster-with-faults sweep, run under a full ambient trace
-        session, survives a hard SIGKILL: the journal's torn tail (if
-        any) is dropped and the resumed (still traced) run's degradation
+        session, survives a hard SIGKILL: whatever reached the cache is
+        served back, and the resumed (still traced) run's degradation
         rows are bit-identical to an undisturbed *untraced* run —
         supervision and tracing both leave results untouched."""
-        _drive(tmp_path, "--mode", "faults", "--checkpoint", "ref.ckpt",
+        _drive(tmp_path, "--mode", "faults", "--cache-dir", "ref-cache",
                "--digest-out", "ref.json", "--requests", 2500)
 
         proc = subprocess.Popen(
             [sys.executable, str(DRIVER), "--mode", "faults", "--traced",
-             "--checkpoint", "run.ckpt", "--digest-out", "run.json",
+             "--cache-dir", "run-cache", "--digest-out", "run.json",
              "--requests", "2500"],
             cwd=str(tmp_path), stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
-        ckpt_path = tmp_path / "run.ckpt"
+        cache_dir = tmp_path / "run-cache"
         deadline = time.monotonic() + 120
         try:
-            # Wait for at least one journaled result, then kill -9.
+            # Wait for at least one cached result, then kill -9.
             while time.monotonic() < deadline:
-                if ckpt_path.exists() and ckpt_path.stat().st_size > 300:
-                    break
-                if proc.poll() is not None:
+                if _cache_entries(cache_dir) or proc.poll() is not None:
                     break
                 time.sleep(0.01)
             else:
-                pytest.fail("driver never journaled a result")
+                pytest.fail("driver never cached a result")
         finally:
             if proc.poll() is None:
                 proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=30)
 
         resumed = _drive(tmp_path, "--mode", "faults", "--traced",
-                         "--checkpoint", "run.ckpt", "--resume",
+                         "--cache-dir", "run-cache",
                          "--digest-out", "run.json", "--requests", 2500)
         assert "OK digest=" in resumed.stdout
         ref_d, run_d = _digest(tmp_path, "ref.json"), _digest(
@@ -487,10 +375,10 @@ class TestKillResumeDifferential:
         """A worker that dies mid-job (os._exit — what a segfault looks
         like) is retried without disturbing finished results; the sweep's
         digest matches an undisturbed run exactly."""
-        _drive(tmp_path, "--checkpoint", "ref.ckpt",
+        _drive(tmp_path, "--cache-dir", "ref-cache",
                "--digest-out", "ref.json", "--requests", 600)
         crashed = _drive(
-            tmp_path, "--checkpoint", "run.ckpt", "--digest-out", "run.json",
+            tmp_path, "--cache-dir", "run-cache", "--digest-out", "run.json",
             "--requests", 600, "--crash-at", 3,
             "--crash-marker", str(tmp_path / "crashed.marker"),
         )
@@ -501,6 +389,38 @@ class TestKillResumeDifferential:
         assert run_d["digest"] == ref_d["digest"]
         assert run_d["retries"] >= 1
         assert run_d["quarantined"] == 0
+
+
+class TestCacheWriteKill:
+    def test_sigkill_mid_put_leaves_no_partial_entry(self, tmp_path):
+        """A SIGKILL with half a pickle on disk leaves only a stray temp
+        file, never a readable partial ``<key>.pkl`` (tmp + rename), and
+        a re-run simulates only the jobs whose results never landed."""
+        _drive(tmp_path, "--cache-dir", "ref-cache",
+               "--digest-out", "ref.json", "--requests", 600)
+        killed = _drive(
+            tmp_path, "--cache-dir", "run-cache", "--digest-out", "run.json",
+            "--requests", 600, "--jobs", 1, "--kill-during-store", 2,
+            check=False,
+        )
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        cache_dir = tmp_path / "run-cache"
+        entries = _cache_entries(cache_dir)
+        assert len(entries) == 2
+        for entry in entries:
+            with open(entry, "rb") as f:
+                pickle.load(f)
+        assert list(cache_dir.glob("*/*.tmp"))  # the torn write
+
+        resumed = _drive(tmp_path, "--cache-dir", "run-cache",
+                         "--digest-out", "run.json", "--requests", 600,
+                         "--jobs", 1)
+        assert "OK digest=" in resumed.stdout
+        ref_d, run_d = _digest(tmp_path, "ref.json"), _digest(
+            tmp_path, "run.json")
+        assert run_d["digest"] == ref_d["digest"]
+        assert run_d["cache_hits"] == 2
+        assert run_d["jobs_run"] == ref_d["jobs_run"] - 2
 
 
 # -- sanitizer stays clean ----------------------------------------------------

@@ -1,5 +1,11 @@
 """Unit tests for the discrete-event engine."""
 
+import bisect
+import hashlib
+import json
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.sim.engine import COMPACT_MIN_DEAD, SimulationError, Simulator
@@ -122,6 +128,16 @@ def test_peek_time_skips_cancelled():
     assert sim.peek_time() == 9
 
 
+def test_peek_time_none_after_cancelling_a_fired_event():
+    """Cancelling a far event after it fired leaves no phantom entry."""
+    sim = Simulator()
+    sim.at(9, lambda: None)
+    far = sim.at(2**20, lambda: None)
+    sim.run()
+    far.cancel()
+    assert sim.peek_time() is None
+
+
 def test_zero_delay_event_runs_after_current_callback():
     sim = Simulator()
     order = []
@@ -135,36 +151,111 @@ def test_zero_delay_event_runs_after_current_callback():
     assert order == ["outer", "inner"]
 
 
-def test_trace_hook_sees_each_event_but_is_deprecated():
-    seen = []
-    with pytest.warns(DeprecationWarning, match="probe bus"):
-        sim = Simulator(trace=lambda t, name: seen.append((t, name)))
-    sim.at(4, lambda: None, name="x")
-    sim.at(6, lambda: None, name="y")
-    sim.run()
-    assert seen == [(4, "x"), (6, "y")]
-
-
-def test_attach_probes_composes_with_legacy_trace():
-    from repro.obs import ProbeBus
-
-    seen = []
-    with pytest.warns(DeprecationWarning):
-        sim = Simulator(trace=lambda t, name: seen.append((t, name)))
-    bus = ProbeBus("engine")
-    sim.attach_probes(bus)
-    sim.at(2, lambda: None, name="x")
-    sim.run()
-    assert seen == [(2, "x")]
-    assert [(e.t, e.data["name"]) for e in bus.events] == [(2, "x")]
-
-
 def test_events_run_counter():
     sim = Simulator()
     for t in range(1, 6):
         sim.at(t, lambda: None)
     sim.run()
     assert sim.events_run == 5
+
+
+def test_zero_delay_self_reschedule():
+    """An event rescheduling itself at delay 0 runs FIFO after any other
+    same-time events, and the run terminates when it stops rechaining."""
+    sim = Simulator()
+    order = []
+
+    def chain(n):
+        order.append((sim.now, n))
+        if n < 5:
+            sim.after(0, lambda: chain(n + 1))
+
+    sim.at(10, lambda: chain(0))
+    sim.at(10, lambda: order.append((sim.now, "peer")))
+    sim.run()
+    assert order == [(10, 0), (10, "peer")] + [(10, k) for k in range(1, 6)]
+    assert sim.now == 10
+    assert sim.pending == 0
+
+
+def test_cancel_then_reschedule_same_slot():
+    """Cancelling a handle and rescheduling its callback at the same time
+    fires exactly once, and the counters account for the dead entry."""
+    sim = Simulator()
+    fired = []
+    first = sim.at(50, lambda: fired.append("first"))
+    first.cancel()
+    first.cancel()  # idempotent; counted once
+    again = sim.at(50, lambda: fired.append("again"))
+    sim.run()
+    assert fired == ["again"]
+    assert not again.cancelled
+    assert sim.events_cancelled == 1
+    assert sim.events_run == 1
+
+
+def test_post_fires_without_handle():
+    sim = Simulator()
+    seen = []
+    assert sim.post(5, lambda: seen.append(sim.now)) is None
+    assert sim.post_at(5, lambda: seen.append(sim.now * 10)) is None
+    sim.post(0, lambda: seen.append(0))
+    sim.run()
+    assert seen == [0, 5, 50]
+    assert sim.events_run == 3
+
+
+def test_post_and_after_share_fifo_order():
+    sim = Simulator()
+    order = []
+    sim.after(5, lambda: order.append("a"))
+    sim.post(5, lambda: order.append("b"))
+    sim.after(5, lambda: order.append("c"))
+    sim.post_at(5, lambda: order.append("d"))
+    sim.run()
+    assert order == ["a", "b", "c", "d"]
+
+
+def test_bounded_run_then_late_insert():
+    """run(until=...) advances now to the bound; later inserts between
+    the bound and the next queued event still fire, in order."""
+    sim = Simulator()
+    seen = []
+    sim.at(1000, lambda: seen.append("far"))
+    assert sim.run(until=500) == 0
+    assert sim.now == 500
+    sim.at(600, lambda: seen.append("mid"))
+    sim.post_at(600, lambda: seen.append("mid2"))
+    sim.run()
+    assert seen == ["mid", "mid2", "far"]
+
+
+def test_step_and_max_events():
+    sim = Simulator()
+    seen = []
+    for i in range(5):
+        sim.at(10 * (i + 1), lambda i=i: seen.append(i))
+    assert sim.step() is True
+    assert seen == [0]
+    assert sim.run(max_events=2) == 2
+    assert seen == [0, 1, 2]
+    assert sim.run() == 2
+    assert sim.step() is False
+
+
+def test_reentrant_run_raises():
+    sim = Simulator()
+    errors = []
+
+    def reenter():
+        try:
+            sim.run()
+        except SimulationError:
+            errors.append(True)
+
+    sim.at(1, reenter)
+    sim.run()
+    assert errors == [True]
 
 
 class TestCancellationAccounting:
@@ -179,6 +270,22 @@ class TestCancellationAccounting:
         assert sim.dead_in_heap == 4
         assert sim.heap_size == 10
         assert sim.pending == 6
+
+    def test_counters_through_compact_and_run(self):
+        """The counters stay live through an explicit compaction and the
+        run that drains what it left."""
+        sim = Simulator()
+        handles = [sim.at(100 + i, lambda: None) for i in range(10)]
+        for handle in handles[:4]:
+            handle.cancel()
+        sim.compact()
+        assert sim.compactions == 1
+        assert sim.dead_in_heap == 0
+        assert sim.heap_size == 6
+        assert sim.pending == 6
+        sim.run()
+        assert sim.events_run == 6
+        assert sim.heap_size == 0
 
     def test_double_cancel_counted_once(self):
         sim = Simulator()
@@ -312,3 +419,176 @@ class TestAgent:
 
         with _pytest.raises(ValueError):
             Agent(Simulator(), "t").busy_for(-1)
+
+
+# -- differentials against a reference scheduler -----------------------------
+
+
+class ReferenceScheduler:
+    """The ``(time, seq)`` contract in its most obvious form: a list kept
+    sorted on ``(time, seq)``, cancellation by removal.  Slow and plainly
+    correct; the heap must drain every schedule in exactly its order."""
+
+    def __init__(self):
+        self.now = self.events_run = self.events_cancelled = self._seq = 0
+        self._queue = []
+
+    def after(self, delay, callback):
+        self._seq += 1
+        entry = (self.now + delay, self._seq, callback)
+        bisect.insort(self._queue, entry)
+        return SimpleNamespace(cancel=lambda: self._cancel(entry))
+
+    post = after
+
+    def _cancel(self, entry):
+        if entry in self._queue:
+            self._queue.remove(entry)
+            self.events_cancelled += 1
+
+    @property
+    def pending(self):
+        return len(self._queue)
+
+    def peek_time(self):
+        return self._queue[0][0] if self._queue else None
+
+    def step(self):
+        if not self._queue:
+            return False
+        self.now, _seq, callback = self._queue.pop(0)
+        self.events_run += 1
+        callback()
+        return True
+
+    def run(self, until=None, max_events=None):
+        executed = 0
+        while self._queue:
+            if max_events is not None and executed >= max_events:
+                break
+            if until is not None and self._queue[0][0] > until:
+                self.now = until
+                break
+            executed += self.step()
+        else:
+            if until is not None and until > self.now:
+                self.now = until
+        return executed
+
+
+def _torture_trace(sim, seed, events=4000):
+    """A randomized schedule exercising cancels, zero delays, far timers,
+    posts, and peeks; returns the full observable trace."""
+    rng = random.Random(seed)
+    log = []
+    handles = []
+    delays = [0, 0, 1, 3, 17, 255, 256, 257, 65_535, 65_536, 2**24 + 5]
+
+    def make_cb(tag):
+        def cb():
+            log.append((sim.now, tag))
+            roll = rng.random()
+            if roll < 0.6 and len(log) < events:
+                delay = rng.choice(delays)
+                if rng.random() < 0.5:
+                    handles.append(sim.after(delay, make_cb(tag + 1)))
+                else:
+                    sim.post(delay, make_cb(-tag))
+            if roll > 0.8 and handles:
+                handles.pop(rng.randrange(len(handles))).cancel()
+            if roll > 0.95:
+                log.append(("peek", sim.peek_time()))
+        return cb
+
+    # Seeds packed into 50 cycles, so same-time ties are common.
+    for k in range(40):
+        sim.after(rng.randrange(0, 50), make_cb(k))
+    sim.run()
+    return log, sim.now, sim.events_run, sim.events_cancelled, sim.pending
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_matches_reference_randomized(seed):
+    assert (_torture_trace(Simulator(), seed)
+            == _torture_trace(ReferenceScheduler(), seed))
+
+
+def _bounded_trace(sim, seed):
+    rng = random.Random(seed)
+    log = []
+
+    def make_cb(tag):
+        def cb():
+            log.append((sim.now, tag))
+            if len(log) < 800:
+                sim.after(rng.choice([0, 1, 100, 65_536]), make_cb(tag + 1))
+                if rng.random() < 0.3:
+                    sim.after(rng.choice([5, 500]), make_cb(tag + 2)).cancel()
+        return cb
+
+    for k in range(10):
+        sim.after(rng.randrange(0, 400), make_cb(k))
+    t = 0
+    while len(log) < 1500:
+        t += rng.choice([50, 333, 70_000])
+        ran = sim.run(until=t, max_events=rng.choice([None, 7]))
+        log.append(("chunk", sim.now, ran, sim.pending))
+        if sim.pending == 0 and len(log) >= 800:
+            break
+    for _ in range(5):
+        log.append(("step", sim.step(), sim.now))
+    return log, sim.events_run, sim.events_cancelled
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_matches_reference_bounded(seed):
+    assert (_bounded_trace(Simulator(), seed)
+            == _bounded_trace(ReferenceScheduler(), seed))
+
+
+#: SHA-256 of the small traced, faulted rack run below.  The engine's
+#: heaviest client (cancellations, far timers, probes) pinned end to end:
+#: any change to the drain order moves it.
+CLUSTER_DIGEST = (
+    "86b8adb7d9a9765757dc2ea2d46317d6b1cd082d0deacfe47cbf3808db12c5c4"
+)
+
+
+def _cluster_fingerprint():
+    from repro.cluster import Cluster
+    from repro.core import concord
+    from repro.faults import FaultPlan, ServerCrash, TelemetryBlackout
+    from repro.hardware import c6420
+    from repro.obs import TraceConfig, tracing
+    from repro.workloads import PoissonProcess, bimodal_50_1_50_100
+
+    workload = bimodal_50_1_50_100()
+    plan = FaultPlan(faults=(
+        ServerCrash(at_us=200.0, down_us=150.0, server=0),
+        TelemetryBlackout(at_us=100.0, duration_us=300.0),
+    ))
+    load = 0.6 * 2 * 2 * 1e6 / workload.mean_us()
+    with tracing(TraceConfig.full()) as session:
+        cluster = Cluster(
+            c6420(2), concord(5.0), 2, policy="jsq", seed=17,
+            fault_plan=plan,
+        )
+        result = cluster.run(workload, PoissonProcess(load), 400)
+    trace_shape = [
+        (bus.label, len(bus.events) if bus.events is not None else None)
+        for bus in session.buses
+    ]
+    return (
+        [(r.rid, r.completion_cycle, r.payload["server"])
+         for r in result.records],
+        result.num_offered,
+        len(result.records),
+        trace_shape,
+    )
+
+
+def test_cluster_with_faults_and_tracing_digest():
+    fingerprint = _cluster_fingerprint()
+    assert fingerprint[1] > 0 and fingerprint[2] > 0
+    material = json.dumps(fingerprint, separators=(",", ":"))
+    assert hashlib.sha256(material.encode()).hexdigest() == CLUSTER_DIGEST
