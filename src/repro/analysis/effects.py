@@ -637,7 +637,8 @@ class _CallCollector(ast.NodeVisitor):
         self.ctx = ctx
         self.class_name = class_name
         self.skip_nested_defs = skip_nested_defs
-        #: (kind, payload) — kind in {dotted, method, name-ref}
+        #: (kind, payload) — kind in {dotted, method, name-ref, self-ref,
+        #: method-ref}
         self.refs = []
         self.local_types = {}
 
@@ -684,7 +685,18 @@ class _CallCollector(ast.NodeVisitor):
         self.visit(node.body)
 
     def visit_Call(self, node):
-        self._record(node)
+        self._record(node.func, node)
+        # ``obj.method`` passed as an argument (``sim.post(d,
+        # worker.on_signal, name, epoch)``): the callee may invoke it later,
+        # so keep an edge to every method of that name.  ``self.method`` is
+        # covered by :meth:`visit_Attribute`.
+        for arg in node.args + [kw.value for kw in node.keywords]:
+            if (
+                isinstance(arg, ast.Attribute)
+                and isinstance(arg.value, ast.Name)
+                and arg.value.id != "self"
+            ):
+                self.refs.append(("method-ref", arg.attr, arg))
         self.generic_visit(node)
 
     def visit_Name(self, node):
@@ -706,8 +718,7 @@ class _CallCollector(ast.NodeVisitor):
             self.refs.append(("self-ref", node.attr, node))
         self.generic_visit(node)
 
-    def _record(self, node):
-        func = node.func
+    def _record(self, func, node):
         if isinstance(func, ast.Name):
             self.refs.append(
                 ("dotted", self.ctx.imports.resolve_name(func.id), node)
@@ -862,6 +873,14 @@ class EffectAnalysis:
         elif kind == "method":
             mode, extra, mname = payload
             self._link_method(info, mode, extra, mname)
+        elif kind == "method-ref":
+            # ``obj.x`` passed as a value: link only if it names a method
+            # somewhere (a data attribute is not a call, so never an
+            # external).
+            if not payload.startswith("__") and (
+                payload not in _CONTAINER_METHODS
+            ):
+                info.callees.update(self.methods_by_name.get(payload, ()))
         elif kind == "self-ref":
             # ``self.x`` read as a value: link only if it names a method
             # (callback registration); data attributes are not calls.

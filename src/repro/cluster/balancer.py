@@ -9,6 +9,8 @@ travel back across one hop; in counter-telemetry mode their landing is what
 decrements the balancer's queue view.
 """
 
+import functools
+
 from repro.core.request import Request
 from repro.cluster.network import TelemetryBoard
 
@@ -161,9 +163,7 @@ class LoadBalancer:
             probes.request_routed(now, request, index)
         server = self.servers[index]
         delay = self._hop_delay()
-        self.sim.post(
-            delay, lambda: server.deliver(request), "net-deliver"
-        )
+        self.sim.post(delay, server.deliver, "net-deliver", request)
         return index
 
     def reroute(self, request, exclude=()):
@@ -179,12 +179,11 @@ class LoadBalancer:
     # -- replies ----------------------------------------------------------------
 
     def _completion_hook(self, index):
+        reply_landed = functools.partial(self._reply_landed, index)
+
         def on_complete(request):
             delay = self.fabric.hop_cycles(self.clock, self.rng_net)
-            rid = request.rid
-            self.sim.post(
-                delay, lambda: self._reply_landed(index, rid), "net-reply"
-            )
+            self.sim.post(delay, reply_landed, "net-reply", request.rid)
 
         return on_complete
 
@@ -238,9 +237,7 @@ class LoadBalancer:
             if injector is not None:
                 delay = injector.scale_hop(self.sim.now, delay)
             self.sim.post(
-                delay,
-                lambda i=index, v=value: self._apply_report(i, v),
-                "telemetry",
+                delay, self._apply_report, "telemetry", (index, value)
             )
         if self.accounted():
             return  # the rack has drained; stop pumping so the heap empties
@@ -250,9 +247,10 @@ class LoadBalancer:
             "telemetry-tick",
         )
 
-    def _apply_report(self, index, value):
-        """Land one telemetry report — unless a blackout window is eating
-        reports in transit."""
+    def _apply_report(self, report):
+        """Land one ``(index, value)`` telemetry report — unless a blackout
+        window is eating reports in transit."""
+        index, value = report
         injector = self.injector
         if injector is not None and injector.telemetry_frozen(self.sim.now):
             injector.reports_dropped += 1

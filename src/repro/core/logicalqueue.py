@@ -139,15 +139,17 @@ class _LqWorker:
 
         duration = int(math.ceil(request.remaining_cycles * costs.worker_rate))
         completion_at = run_start + duration
-        self.sim.post_at(completion_at, lambda: self._on_complete(epoch), "lq-done")
+        self.sim.post_at(completion_at, self._on_complete, "lq-done", epoch)
 
         quantum = costs.quantum_cycles
         if quantum is not None and completion_at > run_start + quantum:
             self.sim.post_at(
-                run_start + quantum,
-                lambda: costs.scheduler.enqueue_check(self, epoch),
-                "lq-quantum",
+                run_start + quantum, self._quantum_expired, "lq-quantum",
+                epoch,
             )
+
+    def _quantum_expired(self, epoch):
+        self.server.scheduler.enqueue_check(self, epoch)
 
     def _on_complete(self, epoch):
         if epoch != self.epoch or self.current is None:
@@ -185,9 +187,12 @@ class _LqWorker:
         self.queue.append(request)
         self.sim.post(
             self.server.disruption + self.server.context_switch,
-            lambda: self._after(self.sim.now),
+            self._after_yield,
             "lq-yielded",
         )
+
+    def _after_yield(self):
+        self._after(self.sim.now)
 
     def _after(self, now):
         self._yielding = False
@@ -218,7 +223,8 @@ class _Scheduler:
         if self._in_action:
             return
         while self.pending:
-            worker, epoch = self.pending.popleft()
+            entry = self.pending.popleft()
+            worker, epoch = entry
             if worker.epoch != epoch or worker.current is None:
                 self.stale_skipped += 1
                 continue
@@ -226,22 +232,24 @@ class _Scheduler:
             self._in_action = True
             self.busy_cycles += cost
             self.signals_sent += 1
-
-            def fire(w=worker, e=epoch):
-                self._in_action = False
-                delay = self.server.mechanism.notice_delay_cycles(
-                    self.server.rng_notice
-                )
-                if w.current is not None:
-                    elapsed = max(0, self.sim.now - (w.run_start or 0))
-                    delay += self.server.defer_cycles(w.current.kind, elapsed)
-                self.sim.post(
-                    int(delay), lambda: w.on_preempt_signal(e), "lq-notice"
-                )
-                self._kick()
-
-            self.sim.post(cost, fire, "lq-signal")
+            self.sim.post(cost, self._signal_landed, "lq-signal", entry)
             return
+
+    def _signal_landed(self, entry):
+        """The cache-line write completed; the worker notices it after the
+        mechanism's notice latency plus any safety deferral."""
+        worker, epoch = entry
+        self._in_action = False
+        delay = self.server.mechanism.notice_delay_cycles(
+            self.server.rng_notice
+        )
+        if worker.current is not None:
+            elapsed = max(0, self.sim.now - (worker.run_start or 0))
+            delay += self.server.defer_cycles(worker.current.kind, elapsed)
+        self.sim.post(
+            int(delay), worker.on_preempt_signal, "lq-notice", epoch
+        )
+        self._kick()
 
 
 class LogicalQueueServer:
@@ -315,37 +323,45 @@ class LogicalQueueServer:
         self._ran = True
         if num_requests < 1:
             raise ValueError("need at least one request")
-        state = {"count": 0, "t_us": 0.0, "first": None, "last": None}
-
-        def fire_arrival():
-            cycle = self.sim.now
-            if state["first"] is None:
-                state["first"] = cycle
-            state["last"] = cycle
-            kind, service_us = workload.sample_class(self.rng_service)
-            request = Request(
-                rid=state["count"],
-                kind=kind,
-                arrival_cycle=cycle,
-                service_cycles=max(1, self.clock.us_to_cycles(service_us)),
-                service_us=service_us,
-            )
-            state["count"] += 1
-            # RSS-style spraying: uniform choice over workers.
-            target = self.workers[self.rng_spray.randrange(len(self.workers))]
-            target.enqueue(request)
-            if state["count"] < num_requests:
-                schedule_next()
-
-        def schedule_next():
-            state["t_us"] += arrival.next_gap_us(self.rng_arrival)
-            cycle = self.clock.us_to_cycles(state["t_us"])
-            self.sim.post_at(max(cycle, self.sim.now), fire_arrival, "lq-arrival")
-
-        schedule_next()
+        self._workload = workload
+        self._arrival = arrival
+        self._num_requests = num_requests
+        state = self._state = {
+            "count": 0, "t_us": 0.0, "first": None, "last": None,
+        }
+        self._schedule_arrival()
         until = self.clock.us_to_cycles(until_us) if until_us is not None else None
         self.sim.run(until=until, max_events=max_events)
         return _LqResult(self, state, until)
+
+    def _schedule_arrival(self):
+        state = self._state
+        state["t_us"] += self._arrival.next_gap_us(self.rng_arrival)
+        cycle = self.clock.us_to_cycles(state["t_us"])
+        self.sim.post_at(
+            max(cycle, self.sim.now), self._fire_arrival, "lq-arrival"
+        )
+
+    def _fire_arrival(self):
+        state = self._state
+        cycle = self.sim.now
+        if state["first"] is None:
+            state["first"] = cycle
+        state["last"] = cycle
+        kind, service_us = self._workload.sample_class(self.rng_service)
+        request = Request(
+            rid=state["count"],
+            kind=kind,
+            arrival_cycle=cycle,
+            service_cycles=max(1, self.clock.us_to_cycles(service_us)),
+            service_us=service_us,
+        )
+        state["count"] += 1
+        # RSS-style spraying: uniform choice over workers.
+        target = self.workers[self.rng_spray.randrange(len(self.workers))]
+        target.enqueue(request)
+        if state["count"] < self._num_requests:
+            self._schedule_arrival()
 
 
 class _LqResult:

@@ -237,10 +237,6 @@ class Server:
                 + constants.RDTSC_INSTRUMENTATION_OVERHEAD
             )
 
-        self.workers = [
-            Worker(self.sim, wid, self) for wid in range(machine.num_workers)
-        ]
-        self.dispatcher = Dispatcher(self.sim, self)
         self.completed = []
         #: Optional callback fired on every completion — the seam the
         #: cluster load balancer uses to observe replies.
@@ -253,12 +249,23 @@ class Server:
         #: targets this server.
         self.faults = None
         self._ran = False
-        self._arrivals = {"count": 0, "first": None, "last": None}
+        #: Arrivals injected so far (any source), and the first and last
+        #: arrival instants.
+        self._arrival_count = 0
+        self._first_arrival = None
+        self._last_arrival = None
+        #: The arrival iterator :meth:`run_source` pulls from.
+        self._source = None
         #: Probe bus (observability layer).  Explicit ``probes`` wins;
         #: otherwise an ambient :func:`repro.obs.session.tracing` session
         #: supplies one; the default None keeps every probe site down to a
         #: single falsy check (the zero-overhead path).
         self.probes = resolve_probes(self, probes)
+        # The agents hoist ``probes``, so they are built after it.
+        self.workers = [
+            Worker(self.sim, wid, self) for wid in range(machine.num_workers)
+        ]
+        self.dispatcher = Dispatcher(self.sim, self)
         if (
             self.probes is not None
             and self.probes.engine_events
@@ -318,11 +325,10 @@ class Server:
         cycle = self.sim.now
         if request.arrival_cycle is None:
             request.arrival_cycle = cycle
-        state = self._arrivals
-        if state["first"] is None:
-            state["first"] = cycle
-        state["last"] = cycle
-        state["count"] += 1
+        if self._first_arrival is None:
+            self._first_arrival = cycle
+        self._last_arrival = cycle
+        self._arrival_count += 1
         probes = self.probes
         if probes is not None:
             probes.request_arrival(cycle, request)
@@ -332,7 +338,7 @@ class Server:
     def inflight(self):
         """Requests delivered but not yet completed — the queue-length
         telemetry signal an inter-server balancer observes."""
-        n = self._arrivals["count"] - len(self.completed)
+        n = self._arrival_count - len(self.completed)
         faults = self.faults
         if faults is not None:
             # Requests swept at crash instants never complete; without this
@@ -343,7 +349,7 @@ class Server:
     @property
     def num_delivered(self):
         """Total arrivals injected so far (any source)."""
-        return self._arrivals["count"]
+        return self._arrival_count
 
     def build_request(self, rid, workload):
         """Sample one request from ``workload`` using this server's service
@@ -420,23 +426,25 @@ class Server:
         run counts whatever the source yielded.
         """
         self._claim_run()
-        iterator = iter(source)
-
-        def fire(request):
-            self.deliver(request)
-            schedule_next()
-
-        def schedule_next():
-            try:
-                t_us, request = next(iterator)
-            except StopIteration:
-                return
-            cycle = self.clock.us_to_cycles(t_us)
-            self.sim.post_at(max(cycle, self.sim.now), lambda: fire(request),
-                        "arrival")
-
-        schedule_next()
+        self._source = iter(source)
+        self._schedule_arrival()
         return self._drain(expected, until_us, max_events)
+
+    def _schedule_arrival(self):
+        """Pull the next pair from the source and post its arrival."""
+        try:
+            t_us, request = next(self._source)
+        except StopIteration:
+            return
+        cycle = self.clock.us_to_cycles(t_us)
+        now = self.sim.now
+        self.sim.post_at(
+            cycle if cycle > now else now, self._fire, "arrival", request
+        )
+
+    def _fire(self, request):
+        self.deliver(request)
+        self._schedule_arrival()
 
     def run_trace(self, trace, until_us=None, max_events=60_000_000):
         """Replay a recorded :class:`~repro.workloads.trace.Trace` exactly:
@@ -464,18 +472,17 @@ class Server:
         multi-server simulation the rack runs the shared event loop itself
         and calls ``collect_result`` on each member afterwards.
         """
-        state = self._arrivals
         if num_offered is None:
-            num_offered = state["count"]
+            num_offered = self._arrival_count
         if drained is None:
-            drained = len(self.completed) == state["count"]
+            drained = len(self.completed) == self._arrival_count
         if self.probes is not None:
             self.probes.finalize_run(self)
         return SimResult(
             server=self,
             num_offered=num_offered,
-            first_arrival=state["first"] or 0,
-            last_arrival=state["last"] or 0,
+            first_arrival=self._first_arrival or 0,
+            last_arrival=self._last_arrival or 0,
             end_cycle=self.sim.now,
             drained=drained,
         )
@@ -489,7 +496,7 @@ class Server:
         until = self.clock.us_to_cycles(until_us) if until_us is not None else None
         self.sim.run(until=until, max_events=max_events)
         if expected is None:
-            expected = self._arrivals["count"]
+            expected = self._arrival_count
         drained = len(self.completed) == expected
         if not drained and until is None:
             if self.sim.pending:

@@ -45,28 +45,32 @@ class Worker:
         self.wasted_signals = 0
         self.requests_completed = 0
         self._switching_until = None
+        #: Requests owned by this worker: queued locally plus in service
+        #: (or switching in or out).  JBSQ(k) bounds this at k (JBSQ(1) ==
+        #: single queue, section 3.2).  Maintained, not recomputed: +1 on
+        #: enqueue, -1 when a request completes or its yield finishes.
+        self.outstanding = 0
+        #: This worker's bit in the dispatcher's ``load_masks`` (bit ``wid``
+        #: of ``load_masks[n]`` is set while ``outstanding == n``); every
+        #: change of ``outstanding`` moves the bit.  The dispatcher binds
+        #: itself and the list when it is built.
+        self.bit = 1 << wid
+        self.load_masks = None
+        self.dispatcher = None
+        # Per-run constants, hoisted off the server for the hot path.
+        self.costs = server.costs
+        self.worker_rate = server.worker_rate
+        self.quantum_cycles = (
+            server.quantum_cycles if server.preemptive else None
+        )
+        self.mechanism = server.mechanism
+        self.probes = server.probes
 
     # -- queue state ------------------------------------------------------------
 
     @property
-    def outstanding(self):
-        """Requests owned by this worker: queued locally plus in service.
-        JBSQ(k) bounds this at k (JBSQ(1) == single queue, section 3.2)."""
-        n = len(self.local)
-        if self.current is not None or self._switching_until is not None:
-            n += 1
-        return n
-
-    def has_slot(self, depth):
-        return self.outstanding < depth
-
-    @property
     def is_idle(self):
-        return (
-            self.current is None
-            and not self.local
-            and self._switching_until is None
-        )
+        return self.outstanding == 0
 
     # -- dispatch entry points ----------------------------------------------------
 
@@ -78,8 +82,14 @@ class Worker:
         own receive miss).
         """
         self.local.append(request)
-        if self.current is None and self._switching_until is None:
-            self._start_next(max(ready_at, self.sim.now))
+        n = self.outstanding
+        self.outstanding = n + 1
+        masks = self.load_masks
+        masks[n] ^= self.bit
+        masks[n + 1] ^= self.bit
+        if n == 0:
+            now = self.sim.now
+            self._start_next(ready_at if ready_at > now else now)
 
     # -- execution ------------------------------------------------------------------
 
@@ -90,12 +100,17 @@ class Worker:
         if not self.local:
             raise RuntimeError("worker {} has nothing to start".format(self.wid))
         request = self.local.popleft()
-        at = max(at, self.sim.now)
-        if self.idle_since is not None:
-            self.idle_cycles += max(0, at - self.idle_since)
+        sim = self.sim
+        now = sim.now
+        if at < now:
+            at = now
+        idle_since = self.idle_since
+        if idle_since is not None:
+            if at > idle_since:
+                self.idle_cycles += at - idle_since
             self.idle_since = None
 
-        costs = self.server.costs
+        costs = self.costs
         switch = costs.context_switch + costs.jbsq_residual
         if request.preemptions > 0:
             if request.last_worker == self.wid:
@@ -108,50 +123,45 @@ class Worker:
         self.busy_cycles += switch
         run_start = at + switch
         self._switching_until = run_start
-        self.epoch += 1
-        epoch = self.epoch
+        epoch = self.epoch = self.epoch + 1
         self.current = request
         self.run_start = run_start
         if request.first_dispatch_cycle is None:
             request.first_dispatch_cycle = at
         request.last_worker = self.wid
 
-        probes = self.server.probes
+        probes = self.probes
         if probes is not None:
             probes.request_started(
                 at, request, self.wid, run_start, request.preemptions > 0
             )
 
-        duration = int(math.ceil(request.remaining_cycles * self.server.worker_rate))
+        duration = int(math.ceil(request.remaining_cycles * self.worker_rate))
         completion_at = run_start + duration
-        self.sim.post_at(completion_at, lambda: self._on_complete(epoch), "w-complete")
+        sim.post_at(completion_at, self._on_complete, "w-complete", epoch)
 
-        quantum = self.server.quantum_cycles
-        if (
-            self.server.preemptive
-            and quantum is not None
-            and completion_at > run_start + quantum
-        ):
+        quantum = self.quantum_cycles
+        if quantum is not None and completion_at > run_start + quantum:
             expiry = run_start + quantum
-            mech = self.server.mechanism
+            mech = self.mechanism
             if mech.needs_dispatcher_signal:
-                self.sim.post_at(
-                    expiry,
-                    lambda: self.server.dispatcher.enqueue_preempt(self, epoch),
-                    "quantum-expiry",
+                sim.post_at(
+                    expiry, self._quantum_expired, "quantum-expiry", epoch
                 )
             else:
                 # Self-preemption (rdtsc probes): the worker notices the
                 # elapsed quantum at its next probe, no dispatcher involved.
-                rng = self.server.rng_notice
-                delay = mech.notice_delay_cycles(rng) + self.server.defer_cycles(
-                    request.kind, elapsed_cycles=quantum
+                server = self.server
+                delay = mech.notice_delay_cycles(
+                    server.rng_notice
+                ) + server.defer_cycles(request.kind, elapsed_cycles=quantum)
+                sim.post_at(
+                    expiry + int(delay), self.on_preempt_signal,
+                    "self-preempt", epoch,
                 )
-                self.sim.post_at(
-                    expiry + int(delay),
-                    lambda: self.on_preempt_signal(epoch),
-                    "self-preempt",
-                )
+
+    def _quantum_expired(self, epoch):
+        self.dispatcher.enqueue_preempt(self, epoch)
 
     def _on_complete(self, epoch):
         if epoch != self.epoch or self.current is None:
@@ -167,6 +177,11 @@ class Worker:
         self.run_start = None
         self._switching_until = None
         self.epoch += 1
+        n = self.outstanding
+        self.outstanding = n - 1
+        masks = self.load_masks
+        masks[n] ^= self.bit
+        masks[n - 1] ^= self.bit
         self.server.record_completion(request)
         self._after_request(now)
 
@@ -181,6 +196,7 @@ class Worker:
         if epoch != self.epoch or self.current is None:
             self.wasted_signals += 1
             return
+        sim = self.sim
         faults = self.server.faults
         if faults is not None:
             # Fault injection: a stall window swallows the probe until the
@@ -188,51 +204,58 @@ class Worker:
             # period.  Either way the notification is re-armed, not lost —
             # if the request finishes first, the stale-epoch check above
             # drops the re-fire.
-            retry_at = faults.preempt_retry_at(self.sim.now, self.wid)
+            retry_at = faults.preempt_retry_at(sim.now, self.wid)
             if retry_at is not None:
-                self.sim.post_at(
-                    retry_at, lambda: self.on_preempt_signal(epoch),
-                    "fault-reprobe",
+                sim.post_at(
+                    retry_at, self.on_preempt_signal, "fault-reprobe", epoch
                 )
                 return
-        now = self.sim.now
+        now = sim.now
         request = self.current
-        executed = int((now - self.run_start) // self.server.worker_rate)
+        executed = int((now - self.run_start) // self.worker_rate)
         executed = max(0, min(executed, request.remaining_cycles - 1))
         request.remaining_cycles -= executed
         self.work_cycles += executed
         request.preemptions += 1
         self.preemptions_taken += 1
         self.busy_cycles += now - self.run_start
-        probes = self.server.probes
+        probes = self.probes
         if probes is not None:
             probes.request_preempted(now, request, self.wid)
 
-        costs = self.server.costs
+        costs = self.costs
         yield_done = now + costs.disruption + costs.context_switch
         self.busy_cycles += costs.disruption + costs.context_switch
         self.current = None
         self.run_start = None
         self.epoch += 1
         self._switching_until = yield_done
-        self.server.dispatcher.enqueue_requeue(request)
-        self.sim.post_at(yield_done, lambda: self._after_yield(), "w-yielded")
+        self.dispatcher.enqueue_requeue(request)
+        sim.post_at(yield_done, self._after_yield, "w-yielded", self.epoch)
 
-    def _after_yield(self):
+    def _after_yield(self, epoch):
         self._switching_until = None
+        if epoch == self.epoch:
+            # Otherwise a crash sweep already zeroed ``outstanding`` (and
+            # possibly a new request started since).
+            n = self.outstanding
+            self.outstanding = n - 1
+            masks = self.load_masks
+            masks[n] ^= self.bit
+            masks[n - 1] ^= self.bit
         self._after_request(self.sim.now)
 
     def _after_request(self, now):
         """Pick up the next local request or go idle and tell the dispatcher."""
         if self.local:
             self._start_next(now)
-            self.server.dispatcher.worker_slot_freed(self)
+            self.dispatcher.worker_slot_freed(self)
         else:
             self.idle_since = now
-            probes = self.server.probes
+            probes = self.probes
             if probes is not None:
                 probes.worker_went_idle(now, self.wid)
-            self.server.dispatcher.worker_became_idle(self)
+            self.dispatcher.worker_became_idle(self)
 
     def __repr__(self):
         return "Worker(wid={}, outstanding={}, idle={})".format(

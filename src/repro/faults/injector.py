@@ -281,9 +281,11 @@ class FaultInjector:
             worker.local.clear()
             worker.run_start = None
             worker._switching_until = None
+            worker.outstanding = 0
             worker.epoch += 1
             if worker.idle_since is None:
                 worker.idle_since = now
+        d.rebuild_load_masks()
         lost.extend(d.rx)
         d.rx.clear()
         lost.extend(d.requeues)

@@ -18,13 +18,20 @@ Scheduling comes in two shapes:
   that dominates the scheduling cost.  The core runtime uses them for the
   completion/arrival timers it never cancels.
 
+``post`` / ``post_at`` also take an optional ``arg`` that is passed to the
+callback when it fires, so a hot path can post a bound method plus its
+state (``post(d, worker.on_signal, "notice", epoch)``) instead of
+allocating a closure per event.
+
 Queue entries are therefore either ``(time, seq, event)`` triples or
-``(time, seq, None, callback, name)`` fire-and-forget tuples; ``entry[2]
-is None`` distinguishes them and the unique ``seq`` guarantees ordering
+``(time, seq, None, callback, name, arg)`` fire-and-forget tuples, where
+``arg`` is a module-private sentinel when the callback takes no argument
+(so ``arg=None`` is delivered as ``None``).  ``entry[2] is None``
+distinguishes the two shapes and the unique ``seq`` guarantees ordering
 comparisons never reach the mismatched tails.
 """
 
-import heapq
+from heapq import heapify, heappop, heappush
 
 __all__ = [
     "Event",
@@ -38,6 +45,12 @@ __all__ = [
 #: is O(queue) and removes >= half the entries, so total compaction work is
 #: amortized O(1) per cancellation.
 COMPACT_MIN_DEAD = 256
+
+#: The ``arg`` of a fire-and-forget entry whose callback takes no argument.
+_NO_ARG = object()
+
+#: Stands in for an absent ``until`` / ``max_events`` bound in :meth:`run`.
+_UNBOUNDED = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -133,7 +146,7 @@ class Simulator:
         event.cancelled = False
         event._sim = self
         seq = self._seq = self._seq + 1
-        heapq.heappush(self._heap, (time, seq, event))
+        heappush(self._heap, (time, seq, event))
         return event
 
     def at(self, time, callback, name=""):
@@ -156,13 +169,14 @@ class Simulator:
         event.cancelled = False
         event._sim = self
         seq = self._seq = self._seq + 1
-        heapq.heappush(self._heap, (time, seq, event))
+        heappush(self._heap, (time, seq, event))
         return event
 
-    def post(self, delay, callback, name=""):
+    def post(self, delay, callback, name="", arg=_NO_ARG):
         """Fire-and-forget :meth:`after`: no :class:`Event` handle is
         allocated, so the timer cannot be cancelled — and scheduling is
-        roughly 2x cheaper.  Use for timers that always fire."""
+        cheaper.  Use for timers that always fire.  When ``arg`` is given
+        the callback is called as ``callback(arg)``."""
         if delay < 0:
             raise SimulationError(
                 "negative delay {} for event {!r}".format(delay, name)
@@ -170,12 +184,13 @@ class Simulator:
         if delay.__class__ is not int:
             delay = int(delay)
         seq = self._seq = self._seq + 1
-        heapq.heappush(
-            self._heap, (self.now + delay, seq, None, callback, name)
+        heappush(
+            self._heap, (self.now + delay, seq, None, callback, name, arg)
         )
 
-    def post_at(self, time, callback, name=""):
-        """Fire-and-forget :meth:`schedule` (absolute time, no handle)."""
+    def post_at(self, time, callback, name="", arg=_NO_ARG):
+        """Fire-and-forget :meth:`schedule` (absolute time, no handle);
+        ``arg`` as for :meth:`post`."""
         if time.__class__ is not int:
             time = int(time)
         if time < self.now:
@@ -185,7 +200,7 @@ class Simulator:
                 )
             )
         seq = self._seq = self._seq + 1
-        heapq.heappush(self._heap, (time, seq, None, callback, name))
+        heappush(self._heap, (time, seq, None, callback, name, arg))
 
     # -- cancellation accounting -------------------------------------------
 
@@ -209,7 +224,7 @@ class Simulator:
         live = [e for e in heap if e[2] is None or not e[2].cancelled]
         if len(live) != len(heap):
             heap[:] = live
-            heapq.heapify(heap)
+            heapify(heap)
         self._dead_in_heap = 0
         self._compactions += 1
 
@@ -219,16 +234,19 @@ class Simulator:
         """Run the next pending event.  Returns False when the queue is
         empty."""
         heap = self._heap
-        pop = heapq.heappop
         while heap:
-            entry = pop(heap)
+            entry = heappop(heap)
             event = entry[2]
             if event is None:
                 self.now = entry[0]
                 if self._trace is not None:
                     self._trace(entry[0], entry[4])
                 self._events_run += 1
-                entry[3]()
+                arg = entry[5]
+                if arg is _NO_ARG:
+                    entry[3]()
+                else:
+                    entry[3](arg)
                 return True
             if event.cancelled:
                 self._dead_in_heap -= 1
@@ -252,71 +270,44 @@ class Simulator:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
         heap = self._heap
-        pop = heapq.heappop
         trace = self._trace
+        # Absent bounds become ones that never bite, so the loop compares
+        # numbers instead of testing for None on every event.
+        budget = max_events if max_events is not None else _UNBOUNDED
+        horizon = until if until is not None else _UNBOUNDED
         executed = 0
         try:
-            if until is None and max_events is None:
-                # Hot path: drain everything with minimal bookkeeping (no
-                # bound checks; the trace branch is hoisted out of the loop).
-                if trace is None:
-                    while heap:
-                        entry = pop(heap)
-                        event = entry[2]
-                        if event is None:
-                            self.now = entry[0]
-                            entry[3]()
-                            executed += 1
-                            continue
-                        if event.cancelled:
-                            self._dead_in_heap -= 1
-                            continue
-                        event._sim = None
-                        self.now = entry[0]
-                        event.callback()
-                        executed += 1
-                else:
-                    while heap:
-                        entry = pop(heap)
-                        event = entry[2]
-                        if event is None:
-                            self.now = entry[0]
-                            trace(entry[0], entry[4])
-                            entry[3]()
-                            executed += 1
-                            continue
-                        if event.cancelled:
-                            self._dead_in_heap -= 1
-                            continue
-                        event._sim = None
-                        self.now = entry[0]
-                        trace(entry[0], event.name)
-                        event.callback()
-                        executed += 1
-                self._events_run += executed
-                return executed
             while heap:
-                if max_events is not None and executed >= max_events:
+                if executed >= budget:
                     break
-                head = heap[0]
-                event = head[2]
-                if event is not None and event.cancelled:
-                    pop(heap)
-                    self._dead_in_heap -= 1
-                    continue
-                if until is not None and head[0] > until:
-                    self.now = int(until)
-                    break
-                pop(heap)
-                self.now = head[0]
+                entry = heappop(heap)
+                time = entry[0]
+                event = entry[2]
                 if event is None:
+                    if time > horizon:
+                        heappush(heap, entry)
+                        self.now = int(until)
+                        break
+                    self.now = time
                     if trace is not None:
-                        trace(head[0], head[4])
-                    head[3]()
+                        trace(time, entry[4])
+                    arg = entry[5]
+                    if arg is _NO_ARG:
+                        entry[3]()
+                    else:
+                        entry[3](arg)
                 else:
+                    if event.cancelled:
+                        self._dead_in_heap -= 1
+                        continue
+                    if time > horizon:
+                        heappush(heap, entry)
+                        self.now = int(until)
+                        break
                     event._sim = None
+                    self.now = time
                     if trace is not None:
-                        trace(head[0], event.name)
+                        trace(time, event.name)
                     event.callback()
                 executed += 1
             else:
@@ -367,6 +358,6 @@ class Simulator:
             event = heap[0][2]
             if event is None or not event.cancelled:
                 return heap[0][0]
-            heapq.heappop(heap)
+            heappop(heap)
             self._dead_in_heap -= 1
         return None

@@ -141,6 +141,30 @@ class TestCallGraph:
         analysis = EffectAnalysis(sources)
         assert IO in analysis.effects_of("pkg.agent:Agent.start")
 
+    def test_other_objects_method_passed_as_argument(self, tmp_path):
+        # ``sim.post(delay, server.deliver, name, request)``: a method of
+        # another object handed to the event loop with its argument.
+        sources = build_package(tmp_path, {
+            "server.py": """
+                import random
+
+                class Server:
+                    def deliver(self, request):
+                        return random.random()
+            """,
+            "balancer.py": """
+                class Balancer:
+                    def send(self, sim, server, request):
+                        sim.post(5, server.deliver, "net", request)
+
+                    def read(self, server):
+                        return server.rid
+            """,
+        })
+        analysis = EffectAnalysis(sources)
+        assert GLOBAL_RNG in analysis.effects_of("pkg.balancer:Balancer.send")
+        assert not analysis.effects_of("pkg.balancer:Balancer.read")
+
     def test_super_call_reaches_base_method(self, tmp_path):
         sources = build_package(tmp_path, {
             "base.py": """

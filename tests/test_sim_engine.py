@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
 import bisect
+import functools
 import hashlib
 import json
 import random
@@ -214,6 +215,98 @@ def test_post_and_after_share_fifo_order():
     sim.post_at(5, lambda: order.append("d"))
     sim.run()
     assert order == ["a", "b", "c", "d"]
+
+
+class TestPostArgument:
+    """``post``/``post_at`` carry an optional argument to the callback."""
+
+    def test_none_is_delivered_as_none(self):
+        sim = Simulator()
+        seen = []
+        sim.post(1, seen.append, "x", None)
+        sim.post_at(2, seen.append, "y", arg=None)
+        sim.run()
+        assert seen == [None, None]
+
+    def test_with_and_without_argument_stay_fifo(self):
+        sim = Simulator()
+        order = []
+        sim.post(5, order.append, "a", "a")
+        sim.post(5, lambda: order.append("b"))
+        sim.after(5, lambda: order.append("c"))
+        sim.post_at(5, order.append, "d", "d")
+        sim.post_at(5, lambda: order.append("e"))
+        sim.run()
+        assert order == ["a", "b", "c", "d", "e"]
+
+    def test_step_delivers_the_argument(self):
+        sim = Simulator()
+        seen = []
+        sim.post(3, seen.append, "x", 7)
+        sim.post(4, lambda: seen.append("bare"))
+        assert sim.step() is True
+        assert (seen, sim.now) == ([7], 3)
+        assert sim.step() is True
+        assert (seen, sim.now) == ([7, "bare"], 4)
+        assert sim.step() is False
+
+    def test_max_events_stops_without_moving_now(self):
+        sim = Simulator()
+        seen = []
+        for i in range(4):
+            sim.post_at(10 * (i + 1), seen.append, "x", i)
+        assert sim.run(max_events=2) == 2
+        assert (seen, sim.now, sim.pending) == ([0, 1], 20, 2)
+        assert sim.run(max_events=0) == 0
+        assert sim.now == 20
+        assert sim.run() == 2
+        assert seen == [0, 1, 2, 3]
+
+    def test_head_past_until_stays_queued(self):
+        sim = Simulator()
+        seen = []
+        sim.post_at(100, seen.append, "x", "late")
+        sim.post_at(10, seen.append, "x", "early")
+        assert sim.run(until=50) == 1
+        assert (seen, sim.now, sim.pending) == (["early"], 50, 1)
+        assert sim.peek_time() == 100
+        assert sim.run(until=100) == 1
+        assert (seen, sim.now, sim.pending) == (["early", "late"], 100, 0)
+
+    def test_cancelled_head_past_until_is_dropped(self):
+        sim = Simulator()
+        seen = []
+        sim.after(100, lambda: seen.append("cancelled")).cancel()
+        sim.post_at(200, seen.append, "x", "kept")
+        assert sim.run(until=150) == 0
+        assert (sim.now, sim.pending, sim.dead_in_heap) == (150, 1, 0)
+        sim.run()
+        assert seen == ["kept"]
+
+    def test_compact_and_peek_keep_argument_entries(self):
+        sim = Simulator()
+        seen = []
+        handles = [sim.after(1, lambda: seen.append("dead"))
+                   for _ in range(10)]
+        sim.post(5, seen.append, "x", "live")
+        sim.post(6, seen.append, "x", None)
+        for handle in handles:
+            handle.cancel()
+        sim.compact()
+        assert sim.heap_size == 2
+        assert sim.peek_time() == 5
+        sim.run()
+        assert seen == ["live", None]
+
+    def test_trace_sees_argument_events(self):
+        sim = Simulator()
+        traced = []
+        sim.attach_probes(SimpleNamespace(
+            sim_event=lambda t, name: traced.append((t, name))))
+        sim.post(2, lambda _arg: None, "with-arg", 1)
+        sim.post(3, lambda: None, "bare")
+        sim.run()
+        assert traced == [(2, "with-arg"), (3, "bare")]
 
 
 def test_bounded_run_then_late_insert():
@@ -433,13 +526,14 @@ class ReferenceScheduler:
         self.now = self.events_run = self.events_cancelled = self._seq = 0
         self._queue = []
 
-    def after(self, delay, callback):
+    def after(self, delay, callback, name=""):
         self._seq += 1
         entry = (self.now + delay, self._seq, callback)
         bisect.insort(self._queue, entry)
         return SimpleNamespace(cancel=lambda: self._cancel(entry))
 
-    post = after
+    def post(self, delay, callback, name="", *arg):
+        self.after(delay, functools.partial(callback, *arg))
 
     def _cancel(self, entry):
         if entry in self._queue:
@@ -490,15 +584,22 @@ def _torture_trace(sim, seed, events=4000):
             roll = rng.random()
             if roll < 0.6 and len(log) < events:
                 delay = rng.choice(delays)
-                if rng.random() < 0.5:
+                pick = rng.random()
+                if pick < 0.4:
                     handles.append(sim.after(delay, make_cb(tag + 1)))
-                else:
+                elif pick < 0.7:
                     sim.post(delay, make_cb(-tag))
+                else:
+                    # The argument slot: one callback, state as the arg.
+                    sim.post(delay, with_arg, "arg", -tag)
             if roll > 0.8 and handles:
                 handles.pop(rng.randrange(len(handles))).cancel()
             if roll > 0.95:
                 log.append(("peek", sim.peek_time()))
         return cb
+
+    def with_arg(tag):
+        make_cb(tag)()
 
     # Seeds packed into 50 cycles, so same-time ties are common.
     for k in range(40):
@@ -521,10 +622,17 @@ def _bounded_trace(sim, seed):
         def cb():
             log.append((sim.now, tag))
             if len(log) < 800:
-                sim.after(rng.choice([0, 1, 100, 65_536]), make_cb(tag + 1))
+                delay = rng.choice([0, 1, 100, 65_536])
+                if rng.random() < 0.5:
+                    sim.after(delay, make_cb(tag + 1))
+                else:
+                    sim.post(delay, with_arg, "arg", tag + 1)
                 if rng.random() < 0.3:
                     sim.after(rng.choice([5, 500]), make_cb(tag + 2)).cancel()
         return cb
+
+    def with_arg(tag):
+        make_cb(tag)()
 
     for k in range(10):
         sim.after(rng.randrange(0, 400), make_cb(k))
