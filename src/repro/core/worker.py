@@ -15,8 +15,8 @@ instrumentation tax (cproc in Eq. 2).  Each (re)start pays a context switch;
 each preemption pays the mechanism's notification disruption (cnotif).
 """
 
-import math
 from collections import deque
+from math import ceil
 
 __all__ = ["Worker"]
 
@@ -58,7 +58,11 @@ class Worker:
         self.load_masks = None
         self.dispatcher = None
         # Per-run constants, hoisted off the server for the hot path.
-        self.costs = server.costs
+        costs = self.costs = server.costs
+        #: Cycles to switch a request in, and the discount for a warm
+        #: resume on the core that ran its previous slice.
+        self._switch_in = costs.context_switch + costs.jbsq_residual
+        self._warm_discount = costs.context_switch // 2
         self.worker_rate = server.worker_rate
         self.quantum_cycles = (
             server.quantum_cycles if server.preemptive else None
@@ -110,14 +114,13 @@ class Worker:
                 self.idle_cycles += at - idle_since
             self.idle_since = None
 
-        costs = self.costs
-        switch = costs.context_switch + costs.jbsq_residual
+        switch = self._switch_in
         if request.preemptions > 0:
             if request.last_worker == self.wid:
                 # Warm resume: the request's context is still in this
                 # core's caches, halving the switch-in cost (the locality
                 # benefit section 3.1 alludes to).
-                switch -= costs.context_switch // 2
+                switch -= self._warm_discount
             else:
                 request.migrations += 1
         self.busy_cycles += switch
@@ -136,8 +139,9 @@ class Worker:
                 at, request, self.wid, run_start, request.preemptions > 0
             )
 
-        duration = int(math.ceil(request.remaining_cycles * self.worker_rate))
-        completion_at = run_start + duration
+        completion_at = run_start + ceil(
+            request.remaining_cycles * self.worker_rate
+        )
         sim.post_at(completion_at, self._on_complete, "w-complete", epoch)
 
         quantum = self.quantum_cycles

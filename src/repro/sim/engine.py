@@ -49,8 +49,11 @@ COMPACT_MIN_DEAD = 256
 #: The ``arg`` of a fire-and-forget entry whose callback takes no argument.
 _NO_ARG = object()
 
-#: Stands in for an absent ``until`` / ``max_events`` bound in :meth:`run`.
-_UNBOUNDED = float("inf")
+#: Stands in for an absent ``until`` / ``max_events`` bound in :meth:`run`:
+#: an int, so the per-event compares stay int-to-int, and past any count
+#: or cycle a run reaches (a time beyond it still runs when ``until`` is
+#: None; see :meth:`run`).
+_UNBOUNDED = 1 << 128
 
 
 class SimulationError(RuntimeError):
@@ -270,6 +273,8 @@ class Simulator:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
         heap = self._heap
+        pop = heappop
+        no_arg = _NO_ARG
         trace = self._trace
         # Absent bounds become ones that never bite, so the loop compares
         # numbers instead of testing for None on every event.
@@ -280,32 +285,28 @@ class Simulator:
             while heap:
                 if executed >= budget:
                     break
-                entry = heappop(heap)
-                time = entry[0]
+                entry = pop(heap)
                 event = entry[2]
+                if event is not None and event.cancelled:
+                    self._dead_in_heap -= 1
+                    continue
+                time = entry[0]
+                if time > horizon and until is not None:
+                    # Past the bound: leave it queued for a later run.
+                    heappush(heap, entry)
+                    self.now = int(until)
+                    break
+                self.now = time
                 if event is None:
-                    if time > horizon:
-                        heappush(heap, entry)
-                        self.now = int(until)
-                        break
-                    self.now = time
                     if trace is not None:
                         trace(time, entry[4])
                     arg = entry[5]
-                    if arg is _NO_ARG:
+                    if arg is no_arg:
                         entry[3]()
                     else:
                         entry[3](arg)
                 else:
-                    if event.cancelled:
-                        self._dead_in_heap -= 1
-                        continue
-                    if time > horizon:
-                        heappush(heap, entry)
-                        self.now = int(until)
-                        break
                     event._sim = None
-                    self.now = time
                     if trace is not None:
                         trace(time, event.name)
                     event.callback()
