@@ -11,13 +11,15 @@ placement equal to the plain O(workers) scan it replaces.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Server
+from repro.core import Server, concord
 from repro.core.presets import concord_no_steal
 from repro.core.request import Request
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.hardware import c6420
+from repro.obs import TraceConfig, tracing
 from repro.sim.rng import RngStreams
+from repro.workloads import PoissonProcess, bimodal_50_1_50_100
 
 
 def owned(worker):
@@ -110,3 +112,36 @@ def test_maintained_loads_match_a_reference_scan(num_workers, depth, ops):
                 check(server, depth)
             assert all(w.outstanding == 0 for w in workers)
         check(server, depth)
+
+
+def test_traced_samples_read_the_maintained_loads():
+    """Under full tracing the probe bus samples ``worker.outstanding``; every
+    sample must equal the worker's actual queue state at that instant."""
+    workload = bimodal_50_1_50_100()
+    depth = 2
+    mismatches = []
+    with tracing(TraceConfig.full(sample_interval_us=5.0)) as session:
+        server = Server(c6420(4), concord(5.0, jbsq_depth=depth), seed=3)
+        bus = server.probes
+        original = bus._sample
+
+        def checked(t):
+            for worker in server.workers:
+                if worker.outstanding != owned(worker):
+                    mismatches.append((t, worker.wid))
+            original(t)
+
+        bus._sample = checked
+        rate = 0.8 * 4 * 1e6 / workload.mean_us()
+        server.run(workload, PoissonProcess(rate), 800)
+    (bus,) = session.buses
+    assert not mismatches
+    values = [
+        value
+        for wid in range(4)
+        for _t, value in bus.registry.series[
+            "worker.{}.outstanding".format(wid)
+        ].samples
+    ]
+    assert len(values) > 100
+    assert set(values) == set(range(depth + 1))
