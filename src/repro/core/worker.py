@@ -48,7 +48,9 @@ class Worker:
         #: Requests owned by this worker: queued locally plus in service
         #: (or switching in or out).  JBSQ(k) bounds this at k (JBSQ(1) ==
         #: single queue, section 3.2).  Maintained, not recomputed: +1 on
-        #: enqueue, -1 when a request completes or its yield finishes.
+        #: enqueue, -1 when a request completes or its yield finishes.  Those
+        #: three sites move the ``load_masks`` bit inline (they run once per
+        #: request); the crash sweep resets both.
         self.outstanding = 0
         #: This worker's bit in the dispatcher's ``load_masks`` (bit ``wid``
         #: of ``load_masks[n]`` is set while ``outstanding == n``); every
