@@ -43,7 +43,7 @@ def _add_parallel_args(parser):
              "and eventually quarantined (default: no timeout)",
     )
     parser.add_argument(
-        "--max-retries", type=int, default=None, metavar="N",
+        "--max-retries", type=int, default=2, metavar="N",
         help="retries before a crashing or hanging job is quarantined "
              "(default: 2)",
     )

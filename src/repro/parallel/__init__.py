@@ -9,9 +9,10 @@ Three layers:
   ``run()`` is a pure function
   of their fields;
 * :mod:`repro.parallel.runner` — :class:`ParallelRunner`, which maps jobs
-  across a supervised process pool (or in-process when ``jobs=1`` /
-  pickling fails) and returns results bit-identical to serial execution;
-  hung jobs are watchdog-killed, retried, and finally quarantined
+  across a supervised process pool, one job per pool task (or in-process
+  when ``jobs=1``, a single job is pending, pickling fails or the pool
+  cannot start), and returns results bit-identical to serial execution;
+  hung and worker-killing jobs are retried and finally quarantined
   (:class:`Quarantined`) without disturbing the rest of the sweep;
 * :mod:`repro.parallel.cache` — :class:`ResultCache`, keyed by a stable
   hash of (machine, config, workload, arrival process, seed, request

@@ -6,35 +6,35 @@ cells out across a process pool and reassembles results in submission
 order, so parallel sweeps are **bit-identical** to serial ones (the per-job
 RNG derivation never touches process-global state).
 
-The pool is *supervised* — a sweep is treated as a production workload,
-not a best-effort script:
+Every pool task is exactly one job, so supervision always knows which job
+it is acting on — a sweep is treated as a production workload, not a
+best-effort script:
 
-* Chunks are dispatched asynchronously; completed chunks are **kept** even
-  when another chunk's worker dies, so one bad job can no longer discard
-  an hour of finished results.
+* Jobs are dispatched as independent futures; completed jobs are **kept**
+  even when another job's worker dies, so one bad job can no longer
+  discard an hour of finished results.
 * ``job_timeout`` arms a per-job watchdog: a job that hangs past it is
   terminated (the pool is recycled), retried up to ``max_retries`` times,
   then **quarantined** — its result slot holds a :class:`Quarantined`
   record naming the culprit, and every other job still completes.
-* A worker that crashes hard (``os._exit``, segfault) is detected via the
-  broken-pool signal; the jobs it took down are retried in isolation and
-  quarantined if they keep killing workers.
+* A worker that crashes hard (``os._exit``, segfault) breaks the pool.
+  While several jobs are in flight any of them may be the culprit, so
+  none is charged: the unfinished jobs of that ``map()`` are re-dispatched
+  one future at a time, and a crash then charges the one job that was
+  alone in flight — retried, and quarantined if it keeps killing workers.
 * The :class:`~repro.parallel.cache.ResultCache` stores every completed
   job as it lands, so it is also the resume store: SIGINT/SIGTERM during
   a cached ``map()`` stops between jobs and raises
   :class:`SweepInterrupted`; re-running the sweep against the same cache
   picks up where it stopped.
 
-Degradation is graceful, counted, and warned about (one
-:class:`RuntimeWarning` per runner, so a sweep that quietly lost its
-parallelism is visible without flooding the log):
-
-* ``jobs=1`` (the default), a single-job batch, or an unpicklable batch all
-  run in-process with zero multiprocessing overhead;
-* a pool that fails to start (restricted environments) falls back to
-  in-process execution — of the *unfinished remainder only*;
-* a :class:`~repro.parallel.cache.ResultCache` short-circuits any job whose
-  content hash was computed before, on this or any earlier run.
+Besides the pool there is one in-process loop over the unfinished slots.
+It serves ``jobs=1`` (the default), a single pending job, a batch that
+cannot be pickled, and a pool that fails to start (restricted
+environments) — in which case it runs only what the pool left
+unfinished.  Falling back to it warns once per runner (one
+:class:`RuntimeWarning`, so a sweep that quietly lost its parallelism is
+visible without flooding the log); results stay bit-identical.
 
 ``REPRO_JOBS`` sets the default worker count for any runner created
 without an explicit ``jobs=``; the CLI's ``--jobs`` overrides it.
@@ -138,43 +138,31 @@ class SweepInterrupted(KeyboardInterrupt):
 
 
 def _run_timed(job):
-    """Execute one job and return ``(result, wall_seconds)``.
+    """Execute one job and return ``(status, payload, wall_seconds)``:
+    ``("ok", value, s)`` or ``("err", exception, s)``.
 
-    Module-level so pool workers can unpickle it; the measured wall time
-    feeds the runner's telemetry registry only and never enters results.
+    Module-level so pool workers can unpickle it.  A raising job comes
+    back as data, not as a poisoned task, so the supervisor can tell a
+    job's own error from the infrastructure failing around it; an
+    exception that cannot be pickled is replaced by a ``RuntimeError``
+    naming it.  The measured wall time feeds the runner's telemetry
+    registry only and never enters results.
     """
     started = time.perf_counter()  # repro-san: ignore[DET001] -- wall-clock job timing for the runner telemetry footer only; never enters results
-    value = execute_job(job)
-    seconds = time.perf_counter() - started  # repro-san: ignore[DET001] -- wall-clock job timing for the runner telemetry footer only; never enters results
-    return value, seconds
-
-
-def _run_timed_batch(jobs):
-    """Execute a pre-chunked list of jobs in one pool task.
-
-    Shipping a list per task (instead of one job per task) amortizes the
-    pickle + IPC round-trip that made small sweeps slower than serial.
-    Each row is ``("ok", value, seconds)`` or ``("err", exc, seconds)`` —
-    a raising job must not discard its chunk-mates' finished results, so
-    exceptions travel back as data, not as a poisoned task."""
-    rows = []
-    for job in jobs:
-        started = time.perf_counter()  # repro-san: ignore[DET001] -- wall-clock job timing for the runner telemetry footer only; never enters results
+    try:
+        row = ("ok", execute_job(job))
+    except Exception as exc:
         try:
-            value = execute_job(job)
-        except Exception as exc:
-            seconds = time.perf_counter() - started  # repro-san: ignore[DET001] -- wall-clock job timing for the runner telemetry footer only; never enters results
-            try:
-                pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception:
-                exc = RuntimeError(
-                    _clip("{}: {}".format(type(exc).__name__, exc))
-                )
-            rows.append(("err", exc, seconds))
-        else:
-            seconds = time.perf_counter() - started  # repro-san: ignore[DET001] -- wall-clock job timing for the runner telemetry footer only; never enters results
-            rows.append(("ok", value, seconds))
-    return rows
+            pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            wrapped = RuntimeError(
+                _clip("{}: {}".format(type(exc).__name__, exc))
+            )
+            wrapped.__cause__ = exc
+            exc = wrapped
+        row = ("err", exc)
+    seconds = time.perf_counter() - started  # repro-san: ignore[DET001] -- wall-clock job timing for the runner telemetry footer only; never enters results
+    return row + (seconds,)
 
 
 def _warm_worker():
@@ -227,64 +215,55 @@ class ParallelRunner:
         stable content hash is already stored are not re-simulated, and
         each result is stored as its job settles; SIGINT/SIGTERM during
         ``map()`` then raises :class:`SweepInterrupted` between jobs.
-    chunksize:
-        Jobs per pool task.  Default: batch split into ~4 chunks per
-        worker, so stragglers (high-load points take longest) rebalance.
-        Ignored (forced to 1) when ``job_timeout`` is set — watchdog
-        precision needs per-job tasks.
     job_timeout:
         Watchdog seconds per job (pooled execution only — an in-process
         job cannot be preempted).  ``None`` disables the watchdog.
     max_retries:
         How many times a hung or worker-killing job is re-dispatched
-        before it is quarantined (default 2).
+        before it is quarantined.
     """
 
-    def __init__(self, jobs=None, cache=None, chunksize=None,
-                 job_timeout=None, max_retries=2):
+    def __init__(self, jobs=None, cache=None, job_timeout=None,
+                 max_retries=2):
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
-        self.chunksize = chunksize
         if job_timeout is not None and job_timeout <= 0:
             raise ValueError(
                 "job_timeout must be positive seconds or None, got "
                 "{!r}".format(job_timeout)
             )
         self.job_timeout = job_timeout
-        if max_retries is None:
-            max_retries = 2
         if max_retries < 0:
             raise ValueError(
                 "max_retries must be >= 0, got {!r}".format(max_retries)
             )
         self.max_retries = int(max_retries)
+        #: ``retries`` counts re-dispatches of jobs left unfinished by a
+        #: crash, a timeout or a failed pool task.
         self.stats = {
             "jobs_run": 0,
             "cache_hits": 0,
             "cache_misses": 0,
-            "parallel_batches": 0,
-            "serial_batches": 0,
-            "fallbacks": 0,
             "retries": 0,
             "timeouts": 0,
             "quarantined": 0,
-            "pool_starts": 0,
-            "pool_reuses": 0,
         }
         #: Quarantined records, in the order the supervisor gave up.
         self.quarantined = []
-        #: Per-job wall times and hit/miss counters land here; the sweep
-        #: CLI prints :meth:`summary_line` from it.
+        #: Per-job wall times land here; the sweep CLI prints
+        #: :meth:`summary_line` from it.
         self.telemetry = TelemetryRegistry()
         self._warned_fallback = False
-        #: Persistent worker pool, started on the first parallel batch and
-        #: reused until :meth:`close` — forking per batch is what made the
-        #: original runner slower than serial on small sweeps.
+        #: Persistent worker pool of ``jobs`` workers, started on the
+        #: first pooled batch and reused until :meth:`close` — forking per
+        #: batch is what made the original runner slower than serial on
+        #: small sweeps.
         self._pool = None
-        self._pool_workers = 0
-        #: Wall seconds spent supervising parallel dispatch, versus the
-        #: in-worker compute seconds — the footer's speedup estimate.
+        #: Wall seconds spent supervising pooled dispatch, and the
+        #: in-worker compute seconds of the jobs the pool settled — the
+        #: footer's speedup estimate.
         self._parallel_wall = 0.0
+        self._parallel_compute = 0.0
         #: Set by the signal handler installed around cached maps.
         self._interrupted = False
         #: ``cache.stores`` when the current supervised map began.
@@ -303,40 +282,29 @@ class ParallelRunner:
         cache = self.cache
         if cache is not None:
             for i, job in enumerate(jobs):
-                key = cache.key_for(job)
-                keys[i] = key
-                if key is not None:
-                    hit, value = cache.get(key)
+                keys[i] = cache.key_for(job)
+                if keys[i] is not None:
+                    hit, value = cache.get(keys[i])
                     if hit:
                         results[i] = value
-            hits = sum(1 for r in results if r is not _MISSING)
-            self.stats["cache_hits"] += hits
-            self.telemetry.count("runner.cache_hits", hits)
-        pending = [i for i, r in enumerate(results) if r is _MISSING]
+        pending = sum(1 for r in results if r is _MISSING)
+        if cache is not None:
+            self.stats["cache_hits"] += len(jobs) - pending
+            self.stats["cache_misses"] += pending
         if pending:
-            def deliver(j, value, seconds):
+            def settle(i, value, seconds):
                 # Called the moment a job settles — cache it immediately
                 # so nothing completed can be lost later.
-                i = pending[j]
+                results[i] = value
+                if isinstance(value, Quarantined):
+                    return
+                self.stats["jobs_run"] += 1
                 self.telemetry.sample("runner.job_seconds", i, seconds)
                 if cache is not None and keys[i] is not None:
                     cache.put(keys[i], value)
 
             with self._supervised():
-                outputs = self._execute(
-                    [jobs[i] for i in pending], on_result=deliver
-                )
-            completed = 0
-            for j, i in enumerate(pending):
-                value, _seconds = outputs[j]
-                results[i] = value
-                if not isinstance(value, Quarantined):
-                    completed += 1
-            self.stats["jobs_run"] += completed
-            self.telemetry.count("runner.jobs_run", completed)
-            if cache is not None:
-                self.stats["cache_misses"] += len(pending)
-                self.telemetry.count("runner.cache_misses", len(pending))
+                self._execute(jobs, results, settle)
         return results
 
     def run(self, job):
@@ -383,40 +351,33 @@ class ParallelRunner:
             str(self.cache.cache_dir), self.cache.stores - self._stores_before
         )
 
-    # -- execution strategies ----------------------------------------------
+    # -- execution -----------------------------------------------------------
 
-    def _execute(self, batch, on_result=None):
-        """Run ``batch``, returning ``[(value, seconds), ...]`` aligned
-        with it; ``on_result(index, value, seconds)`` fires as each job
-        settles (quarantined slots excepted)."""
-        outputs = [_MISSING] * len(batch)
-
-        def settle(i, value, seconds):
-            outputs[i] = (value, seconds)
-            if on_result is not None and not isinstance(value, Quarantined):
-                on_result(i, value, seconds)
-
-        workers = min(self.jobs, len(batch))
-        if workers > 1 and self._picklable(batch):
+    def _execute(self, jobs, results, settle):
+        """Fill every unfinished slot of ``results``: through the pool
+        when it can help, then in-process for whatever is still
+        unfinished.  ``settle(index, value, seconds)`` fires as each job
+        settles."""
+        pending = [jobs[i] for i, r in enumerate(results) if r is _MISSING]
+        if len(pending) > 1 and self.jobs > 1 and self._picklable(pending):
             try:
-                self._execute_pool(batch, workers, outputs, settle)
+                self._execute_pool(jobs, results, settle)
             except OSError as exc:
                 # Pool creation can fail in sandboxed/restricted
                 # environments; the results must not.  Whatever already
                 # finished is kept — only the remainder runs in-process.
-                unfinished = sum(1 for o in outputs if o is _MISSING)
+                unfinished = sum(1 for r in results if r is _MISSING)
                 self._note_fallback(
                     "process pool unavailable ({}); running {} unfinished "
                     "job(s) in-process".format(_clip(str(exc)), unfinished)
                 )
-        remainder = [i for i, o in enumerate(outputs) if o is _MISSING]
-        if remainder:
-            self.stats["serial_batches"] += 1
-            for i in remainder:
+        for i, r in enumerate(results):
+            if r is _MISSING:
                 self._check_interrupt()
-                value, seconds = _run_timed(batch[i])
-                settle(i, value, seconds)
-        return outputs
+                status, payload, seconds = _run_timed(jobs[i])
+                if status == "err":
+                    raise payload
+                settle(i, payload, seconds)
 
     def _picklable(self, batch):
         """Lazily probe the batch: stop at the first unpicklable job and
@@ -435,9 +396,8 @@ class ParallelRunner:
         return True
 
     def _note_fallback(self, reason):
-        """Count a degradation to serial execution, warning once per
-        runner — results stay bit-identical, only wall-clock suffers."""
-        self.stats["fallbacks"] += 1
+        """Warn, once per runner, that a batch degraded to in-process
+        execution — results stay bit-identical, only wall-clock suffers."""
         if not self._warned_fallback:
             self._warned_fallback = True
             warnings.warn(
@@ -447,128 +407,109 @@ class ParallelRunner:
                 stacklevel=5,
             )
 
-    def _get_pool(self, workers):
+    def _get_pool(self):
         """The persistent pool, started on first use and reused across
         batches (warm imports, no per-batch fork cost)."""
-        if self._pool is not None and self._pool_workers >= workers:
-            self.stats["pool_reuses"] += 1
-            return self._pool
-        self.close()
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        if self._pool is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            context = multiprocessing.get_context()
-        self._pool = ProcessPoolExecutor(
-            max_workers=workers, mp_context=context,
-            initializer=_warm_worker,
-        )
-        self._pool_workers = workers
-        self.stats["pool_starts"] += 1
+            try:
+                context = multiprocessing.get_context("fork")
+            except ValueError:
+                context = multiprocessing.get_context()
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs, mp_context=context,
+                initializer=_warm_worker,
+            )
         return self._pool
 
-    def _chunk(self, pending, workers, singleton):
-        if singleton:
-            return [[i] for i in pending]
-        chunksize = self.chunksize or max(
-            1, (len(pending) + 4 * workers - 1) // (4 * workers)
-        )
-        return [
-            pending[k:k + chunksize]
-            for k in range(0, len(pending), chunksize)
-        ]
+    def _execute_pool(self, jobs, results, settle):
+        """Supervised pool dispatch, one future per job, in rounds.
 
-    def _execute_pool(self, batch, workers, outputs, settle):
-        """Asynchronous, supervised pool dispatch.
-
-        Chunks are submitted as independent futures and collected as they
+        A round submits the unfinished jobs and collects them as they
         finish, so a hung or crashing job never takes finished results
-        with it.  Each failure round terminates the pool, blames the
-        culpable jobs, and re-dispatches the survivors as singleton
-        tasks; a job that exhausts ``max_retries`` is quarantined.
-        Raises ``OSError`` only when the pool itself cannot run — the
-        caller then finishes the (salvaged) remainder in-process."""
-        pending = [i for i, o in enumerate(outputs) if o is _MISSING]
-        attempts = [0] * len(batch)
-        error = None
-        round_num = 0
-        while pending:
-            # Watchdog rounds and retry rounds use singleton tasks: the
-            # blame for a timeout or a dead worker must land on one job.
-            singleton = round_num > 0 or self.job_timeout is not None
-            chunks = self._chunk(pending, workers, singleton)
-            pool = self._get_pool(workers)
-            started = time.perf_counter()  # repro-san: ignore[DET001] -- wall-clock batch timing for the runner footer only; never enters results
-            futures = {}
-            submit_error = None
-            for chunk in chunks:
-                try:
-                    fut = pool.submit(
-                        _run_timed_batch, [batch[i] for i in chunk]
-                    )
-                except (OSError, RuntimeError) as exc:
-                    # Couldn't start/feed workers; collect what was
-                    # already submitted, then report the pool unusable.
-                    submit_error = exc
-                    break
-                futures[fut] = chunk
-            if futures:
-                self.stats["parallel_batches"] += 1
-            blamed, broken = self._collect(
-                batch, futures, settle, attempts
+        with it.  A round that leaves jobs unfinished recycles the pool;
+        each job charged with a timeout or a failed task is retried, and
+        quarantined once charged more than ``max_retries`` times.  A
+        worker crash charges nobody while several jobs are in flight;
+        every later round then holds one job, so a repeat crash is
+        charged to that job.  Raises ``OSError`` only when the pool
+        itself cannot run — the caller then finishes the remainder
+        in-process."""
+        attempts = {}
+        solo = False
+        while True:
+            pending = [i for i, r in enumerate(results) if r is _MISSING]
+            if not pending:
+                return
+            batch = pending[:1] if solo else pending
+            started = time.perf_counter()  # repro-san: ignore[DET001] -- wall-clock round timing for the runner footer only; never enters results
+            errors, blamed, crashed, submit_error = self._round(
+                jobs, batch, settle
             )
-            self._parallel_wall += time.perf_counter() - started  # repro-san: ignore[DET001] -- wall-clock batch timing for the runner footer only; never enters results
-            if broken or submit_error is not None:
+            self._parallel_wall += time.perf_counter() - started  # repro-san: ignore[DET001] -- wall-clock round timing for the runner footer only; never enters results
+            unfinished = [i for i in batch if results[i] is _MISSING]
+            if unfinished:
                 self.close()
             # Errors raised *by a job* are deterministic: re-raise after
-            # the whole round settled (and was cached).  Raising
-            # the lowest job index keeps *which* error surfaces
-            # independent of future-completion order.
-            if error is None and blamed["errors"]:
-                error = blamed["errors"][min(blamed["errors"])]
-            if error is not None:
-                raise error
-            survivors = [i for i in pending if outputs[i] is _MISSING]
+            # the whole round settled (and was cached).  Raising the
+            # lowest job index keeps *which* error surfaces independent
+            # of future-completion order.
+            if errors:
+                raise errors[min(errors)]
             if submit_error is not None:
                 raise OSError(
                     "worker pool failed mid-batch: {}".format(
                         _clip(str(submit_error))
                     )
                 ) from submit_error
-            if not survivors:
-                return
-            retried = []
-            for i in survivors:
-                if i in blamed["jobs"]:
-                    attempts[i] += 1
-                    if attempts[i] > self.max_retries:
-                        self._quarantine(
-                            batch[i], attempts[i], blamed["jobs"][i], settle,
-                            i,
-                        )
-                        continue
-                retried.append(i)
+            if crashed and solo:
+                for i in unfinished:
+                    blamed[i] = "worker process died (crash or kill)"
+            solo = solo or crashed
+            for i in sorted(blamed):
+                attempts[i] = attempts.get(i, 0) + 1
+                if attempts[i] > self.max_retries:
+                    record = Quarantined(jobs[i], blamed[i], attempts[i])
+                    self.quarantined.append(record)
+                    self.stats["quarantined"] += 1
+                    warnings.warn(
+                        "quarantined {}".format(record.describe()),
+                        RuntimeWarning,
+                        stacklevel=4,
+                    )
+                    settle(i, record, 0.0)
             self.stats["retries"] += sum(
-                1 for i in retried if i in blamed["jobs"]
+                1 for i in unfinished if results[i] is _MISSING
             )
-            pending = retried
-            round_num += 1
 
-    def _collect(self, batch, futures, settle, attempts):
-        """Drain the in-flight future set, settling jobs as they land.
+    def _round(self, jobs, batch, settle):
+        """Submit one future per job in ``batch`` and drain them, settling
+        each job as it lands.
 
-        Returns ``(blamed, broken)`` where ``blamed["jobs"]`` maps job
-        index -> failure reason for this round and ``blamed["errors"]``
-        maps job index -> the exception that *job* raised (as opposed to
-        the infrastructure failing around it)."""
+        Returns ``(errors, blamed, crashed, submit_error)``: the exception
+        each failing job raised, the reason charged to each job that timed
+        out or whose task failed, whether a worker died, and the error
+        that stopped submission, if any."""
         from concurrent.futures import FIRST_COMPLETED, wait
         from concurrent.futures.process import BrokenProcessPool
 
-        blamed = {"jobs": {}, "errors": {}}
-        broken = False
-        pool_dead = False
+        errors, blamed = {}, {}
+        crashed = False
+        submit_error = None
+        futures = {}
+        pool = self._get_pool()
+        try:
+            for i in batch:
+                futures[pool.submit(_run_timed, jobs[i])] = i
+        except BrokenProcessPool:
+            # A worker died before the batch was fully submitted.
+            crashed = True
+        except (OSError, RuntimeError) as exc:
+            # Couldn't start/feed workers; collect what was already
+            # submitted, then report the pool unusable.
+            submit_error = exc
         #: fut -> monotonic lapse time, armed only once the task is
         #: observed *running*.  Arming at submit time would charge
         #: queue-wait against the job's own timeout: with more pending
@@ -579,50 +520,38 @@ class ParallelRunner:
         not_done = set(futures)
         while not_done:
             self._check_interrupt()
-            if self.job_timeout is not None and not pool_dead:
+            if self.job_timeout is not None and not crashed:
                 now = time.monotonic()  # repro-san: ignore[DET001] -- watchdog arming for supervision only; never enters results
                 for fut in not_done:  # repro-san: ignore[DET003] -- supervision-only scan: arming order cannot reach results
                     if fut not in deadlines and fut.running():
-                        deadlines[fut] = now + (
-                            self.job_timeout * len(futures[fut])
-                        )
+                        deadlines[fut] = now + self.job_timeout
             done, not_done = wait(
                 not_done, timeout=_POLL_SECONDS,
                 return_when=FIRST_COMPLETED,
             )
             for fut in done:
-                chunk = futures[fut]
+                i = futures[fut]
                 try:
-                    rows = fut.result()
+                    status, payload, seconds = fut.result()
                 except BrokenProcessPool:
-                    # A worker died mid-task.  Blame the chunk's
-                    # unfinished jobs; everything already settled stays.
-                    broken = True
-                    pool_dead = True
-                    for i in chunk:
-                        blamed["jobs"].setdefault(
-                            i, "worker process died (crash or kill)"
-                        )
-                    continue
+                    # A worker died.  Any job in flight may have killed
+                    # it, so none is charged.  Every remaining future
+                    # resolves broken too; keep draining.
+                    crashed = True
                 except Exception as exc:
                     # A task-level failure (e.g. an unpicklable return
                     # value) leaves the pool alive and its other tasks
-                    # running — recycle it conservatively at round end,
-                    # but keep the watchdog armed meanwhile.
-                    broken = True
-                    for i in chunk:
-                        blamed["jobs"].setdefault(
-                            i, "pool task failed: {}".format(_clip(str(exc)))
-                        )
-                    continue
-                for i, (status, payload, seconds) in zip(chunk, rows):
+                    # running, so keep the watchdog armed meanwhile.
+                    blamed[i] = "pool task failed: {}".format(
+                        _clip(str(exc))
+                    )
+                else:
                     if status == "ok":
+                        self._parallel_compute += seconds
                         settle(i, payload, seconds)
                     else:
-                        blamed["errors"].setdefault(i, payload)
-            if pool_dead:
-                # Once the pool is dead every remaining future resolves
-                # broken too; keep draining so they are all accounted.
+                        errors[i] = payload
+            if crashed:
                 continue
             now = time.monotonic()  # repro-san: ignore[DET001] -- watchdog deadline check for supervision only; never enters results
             timed_out = [
@@ -635,35 +564,20 @@ class ParallelRunner:
                 # deadline lapsed — in-flight innocents just re-run.
                 self.stats["timeouts"] += len(timed_out)
                 for fut in timed_out:
-                    for i in futures[fut]:
-                        blamed["jobs"][i] = (
-                            "hung past the {:g}s watchdog".format(
-                                self.job_timeout
-                            )
+                    blamed[futures[fut]] = (
+                        "hung past the {:g}s watchdog".format(
+                            self.job_timeout
                         )
-                broken = True
+                    )
                 break
-        return blamed, broken
-
-    def _quarantine(self, job, attempts, reason, settle, index):
-        record = Quarantined(job=job, reason=reason, attempts=attempts)
-        self.quarantined.append(record)
-        self.stats["quarantined"] += 1
-        self.telemetry.count("runner.quarantined", 1)
-        warnings.warn(
-            "quarantined {}".format(record.describe()),
-            RuntimeWarning,
-            stacklevel=6,
-        )
-        settle(index, record, 0.0)
+        return errors, blamed, crashed, submit_error
 
     def close(self):
         """Terminate the persistent worker pool (if any), killing hung
-        workers.  The runner stays usable — the next parallel batch
+        workers.  The runner stays usable — the next pooled batch
         starts a fresh pool."""
         pool = self._pool
         self._pool = None
-        self._pool_workers = 0
         if pool is not None:
             # shutdown() never kills a stuck worker, and it drops the
             # process table; take it first — the watchdog needs them gone
@@ -692,19 +606,15 @@ class ParallelRunner:
             pass
 
     def parallel_speedup(self):
-        """Measured speedup of parallel batches over their estimated
-        serial cost (in-worker compute seconds vs pool wall seconds), or
-        None when no parallel batch has run.  A value below 1.0 means the
-        pool made the sweep *slower* — the regression the footer exists
-        to surface."""
-        if not self._parallel_wall:
+        """Measured speedup of pooled execution: the in-worker compute
+        seconds of the jobs the pool settled over the wall seconds spent
+        supervising it, or None when no pooled job has settled.  Jobs run
+        in-process count in neither.  A value below 1.0 means the pool
+        made the sweep *slower* — the regression the footer exists to
+        surface."""
+        if not self._parallel_wall or self._parallel_compute <= 0.0:
             return None
-        series = self.telemetry.series.get("runner.job_seconds")
-        samples = series.samples if series is not None else []
-        compute = sum(v for _i, v in samples)
-        if compute <= 0.0:
-            return None
-        return compute / self._parallel_wall
+        return self._parallel_compute / self._parallel_wall
 
     def summary_line(self):
         """One-line telemetry footer for sweep CLIs: jobs run, cache
@@ -735,7 +645,7 @@ class ParallelRunner:
         if speedup is not None:
             parts.append(
                 "parallel {:.1f}s vs {:.1f}s serial-est ({:.2f}x{})".format(
-                    self._parallel_wall, total, speedup,
+                    self._parallel_wall, self._parallel_compute, speedup,
                     "" if speedup >= 1.0 else " — SLOWER than serial",
                 )
             )

@@ -7,6 +7,7 @@ serial results exactly, not approximately.
 
 import enum
 import pickle
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -57,6 +58,15 @@ class _Outer:
     inner: _Inner
     pairs: tuple
     knob: _Knob
+
+
+@dataclass(frozen=True)
+class _SleepJob:
+    seconds: float
+
+    def run(self):
+        time.sleep(self.seconds)
+        return self.seconds
 
 
 def _machine():
@@ -263,18 +273,6 @@ class TestRunnerMachinery:
             monkeypatch.setenv("REPRO_JOBS", "2.5")
             resolve_jobs(None)
 
-    def test_chunk_boundaries(self):
-        runner = ParallelRunner(jobs=2, chunksize=10)
-        # chunksize beyond the batch: everything lands in one chunk.
-        assert runner._chunk([0, 1, 2, 3], 2, singleton=False) == [[0, 1, 2, 3]]
-        # Singleton (watchdog/retry) rounds ignore chunksize entirely.
-        assert runner._chunk([3, 5], 2, singleton=True) == [[3], [5]]
-        # Default chunking covers every index exactly once, in order.
-        default = ParallelRunner(jobs=2)
-        chunks = default._chunk(list(range(17)), 2, singleton=False)
-        assert [i for chunk in chunks for i in chunk] == list(range(17))
-        assert all(chunk for chunk in chunks)
-
     def test_single_job_batch_stays_in_process(self):
         # One job cannot be parallelised; no pool should ever start.
         runner = ParallelRunner(jobs=4)
@@ -283,9 +281,7 @@ class TestRunnerMachinery:
                      num_requests=100, seed=1)
         result = runner.map([job])
         assert result[0].completed > 0
-        assert runner.stats["parallel_batches"] == 0
-        assert runner.stats["pool_starts"] == 0
-        assert runner.stats["serial_batches"] == 1
+        assert runner._pool is None
 
     def test_pickle_probe_is_lazy_and_caps_detail(self, monkeypatch):
         # The probe stops at the first unpicklable job instead of
@@ -327,8 +323,7 @@ class TestRunnerMachinery:
                      num_requests=200, seed=1)
         with pytest.warns(RuntimeWarning, match="fell back to serial"):
             results = runner.map([job, job])
-        assert runner.stats["fallbacks"] >= 1
-        assert runner.stats["parallel_batches"] == 0
+        assert runner._pool is None
         assert results[0] == results[1]
         assert results[0].completed > 0
         # The degradation warns once per runner, not once per batch.
@@ -357,22 +352,26 @@ class TestRunnerMachinery:
     def test_pool_failure_warns_and_falls_back(self, monkeypatch):
         runner = ParallelRunner(jobs=2)
 
-        def broken_pool(batch, workers, outputs, settle):
+        def broken_pool(jobs, results, settle):
             raise OSError("pools forbidden here")
 
         monkeypatch.setattr(runner, "_execute_pool", broken_pool)
         job = SimJob(machine=_machine(), config=shinjuku(5.0),
                      workload=bimodal_50_1_50_100(), load_rps=2e5,
                      num_requests=200, seed=1)
-        with pytest.warns(RuntimeWarning, match="process pool unavailable"):
+        with pytest.warns(RuntimeWarning) as captured:
             results = runner.map([job, job])
-        assert runner.stats["fallbacks"] == 1
-        assert runner.stats["serial_batches"] == 1
+        assert len(captured) == 1
+        assert "process pool unavailable" in str(captured[0].message)
         assert results[0] == results[1]
+        # The degradation warns once per runner, not once per batch.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert runner.map([job, job]) == results
 
     def test_pool_failure_salvages_completed_results(self, monkeypatch):
-        """Satellite regression: a pool that dies mid-batch keeps the
-        chunks that finished and re-runs only the unfinished remainder."""
+        """A pool that dies mid-batch keeps the jobs that finished and
+        re-runs only the unfinished remainder in-process."""
         import repro.parallel.runner as runner_mod
 
         runner = ParallelRunner(jobs=2)
@@ -383,10 +382,11 @@ class TestRunnerMachinery:
             ran_serially.append(job.load_rps)
             return real_run(job)
 
-        def partial_pool(batch, workers, outputs, settle):
+        def partial_pool(jobs, results, settle):
             # Complete the first half, then fail like a broken pool.
-            for i in range(len(batch) // 2):
-                settle(i, *real_run(batch[i]))
+            for i in range(len(jobs) // 2):
+                _status, value, seconds = real_run(jobs[i])
+                settle(i, value, seconds)
             raise OSError("worker pool failed mid-batch")
 
         monkeypatch.setattr(runner, "_execute_pool", partial_pool)
@@ -404,6 +404,20 @@ class TestRunnerMachinery:
         assert ran_serially == [3e5, 4e5]
         serial = ParallelRunner(jobs=1).map(jobs)
         assert results == serial
+
+    def test_speedup_counts_only_pooled_jobs(self):
+        """The footer's serial estimate holds only the seconds of jobs
+        the pool ran, so pooled execution can never beat ``jobs``
+        workers (regression: an earlier in-process job's seconds were
+        divided by pool wall time, reporting 4.5x on two workers)."""
+        runner = ParallelRunner(jobs=2)
+        runner.map([_SleepJob(1.0)])  # a single job runs in-process
+        assert runner.parallel_speedup() is None
+        runner.map([_SleepJob(0.2), _SleepJob(0.2)])
+        runner.close()
+        speedup = runner.parallel_speedup()
+        assert speedup is not None
+        assert speedup <= runner.jobs
 
     def test_default_runner_context(self):
         original = get_default_runner()

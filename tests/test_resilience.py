@@ -11,6 +11,7 @@ rather than monkeypatched stand-ins.
 """
 
 import json
+import multiprocessing
 import os
 import pickle
 import signal
@@ -108,6 +109,18 @@ class SlowJob:
     def run(self):
         time.sleep(self.seconds)
         return ("slow-ok", self.token)
+
+
+@dataclass(frozen=True)
+class AlwaysCrashJob:
+    """Kills its worker outright on every run (``os._exit`` — what a
+    segfault looks like to the pool).  Raises instead when it finds
+    itself outside a pool worker, so it can never take pytest down."""
+
+    def run(self):
+        if multiprocessing.parent_process() is None:
+            raise RuntimeError("AlwaysCrashJob ran outside a pool worker")
+        os._exit(3)
 
 
 @dataclass(frozen=True)
@@ -269,6 +282,26 @@ class TestWatchdogAndQuarantine:
         assert isinstance(results[1], Quarantined)
         assert "watchdog" in results[1].reason
         assert runner.stats["timeouts"] >= 1
+        runner.close()
+
+    def test_worker_crash_quarantines_only_the_crasher(self):
+        """A job that kills its worker every time is the only one
+        quarantined; the healthy jobs running or queued beside it when
+        the pool broke all complete (regression: the broken pool charged
+        every unfinished job, quarantining all ten)."""
+        runner = ParallelRunner(jobs=2)
+        batch = [SlowJob(0), AlwaysCrashJob()] + [
+            SlowJob(i) for i in range(2, 10)
+        ]
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            results = runner.map(batch)
+        crashed = results[1]
+        assert isinstance(crashed, Quarantined)
+        assert "worker process died" in crashed.reason
+        assert runner.quarantined == [crashed]
+        assert results[:1] + results[2:] == [
+            ("slow-ok", i) for i in range(10) if i != 1
+        ]
         runner.close()
 
     def test_lowest_index_error_is_raised_regardless_of_finish_order(self):
