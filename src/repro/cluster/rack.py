@@ -122,10 +122,6 @@ class Cluster:
             bus = session.make_bus("balancer", clock=machine.clock)
             self.probes = bus
             self.balancer.probes = bus
-            if bus.engine_events:
-                # One shared simulator for the whole rack: attach the raw
-                # engine feed once, on the balancer's bus.
-                self.sim.attach_probes(bus)
         self._ran = False
 
     def run(self, workload, arrival, num_requests, until_us=None,

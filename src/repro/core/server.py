@@ -182,7 +182,7 @@ class Server:
     """A single simulated server instance (one run)."""
 
     def __init__(self, machine, config, seed=0, profile=None, app=None,
-                 sim=None, streams=None, probes=None):
+                 sim=None, streams=None):
         self.machine = machine
         self.config = config
         self.clock = machine.clock
@@ -256,25 +256,16 @@ class Server:
         self._last_arrival = None
         #: The arrival iterator :meth:`run_source` pulls from.
         self._source = None
-        #: Probe bus (observability layer).  Explicit ``probes`` wins;
-        #: otherwise an ambient :func:`repro.obs.session.tracing` session
-        #: supplies one; the default None keeps every probe site down to a
-        #: single falsy check (the zero-overhead path).
-        self.probes = resolve_probes(self, probes)
+        #: Probe bus (observability layer), supplied by an ambient
+        #: :func:`repro.obs.session.tracing` session; the default None
+        #: keeps every probe site down to a single falsy check (the
+        #: zero-overhead path).
+        self.probes = resolve_probes(self)
         # The agents hoist ``probes``, so they are built after it.
         self.workers = [
             Worker(self.sim, wid, self) for wid in range(machine.num_workers)
         ]
         self.dispatcher = Dispatcher(self.sim, self)
-        if (
-            self.probes is not None
-            and self.probes.engine_events
-            and sim is None
-        ):
-            # This server owns its simulator: route the raw engine event
-            # feed into the bus.  Shared-sim members leave the hookup to
-            # their owner (the rack attaches its balancer bus once).
-            self.sim.attach_probes(self.probes)
 
     # -- callbacks used by agents ------------------------------------------------------
 
@@ -477,7 +468,7 @@ class Server:
         if drained is None:
             drained = len(self.completed) == self._arrival_count
         if self.probes is not None:
-            self.probes.finalize_run(self)
+            self.probes.finalize_run(self.sim.now)
         return SimResult(
             server=self,
             num_offered=num_offered,

@@ -15,8 +15,38 @@ import time
 
 from repro.experiments import tracecmd
 from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.workloads.named import NAMED_WORKLOADS
 
 __all__ = ["main"]
+
+
+_SYSTEM_FACTORIES = {
+    "persephone": lambda q: _presets().persephone_fcfs(),
+    "shinjuku": lambda q: _presets().shinjuku(q),
+    "concord": lambda q: _presets().concord(q),
+    "concord-no-steal": lambda q: _presets().concord_no_steal(q),
+    "coop-sq": lambda q: _presets().coop_single_queue(q),
+    "coop-jbsq": lambda q: _presets().coop_jbsq(q),
+}
+
+
+def _presets():
+    from repro.core import presets
+
+    return presets
+
+
+def _system_list(text):
+    """``--systems`` parser: comma-separated names, each a known system."""
+    names = [name.strip() for name in text.split(",")]
+    unknown = [name for name in names if name not in _SYSTEM_FACTORIES]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            "unknown system(s) {}; known: {}".format(
+                ", ".join(map(repr, unknown)), ", ".join(_SYSTEM_FACTORIES)
+            )
+        )
+    return names
 
 
 def _add_parallel_args(parser):
@@ -61,7 +91,8 @@ def _build_parser():
 
     run_parser = sub.add_parser("run", help="run one experiment (or 'all')")
     run_parser.add_argument(
-        "experiment", help="experiment id (see 'list') or 'all'"
+        "experiment", choices=sorted(EXPERIMENTS) + ["all"],
+        metavar="experiment", help="experiment id (see 'list') or 'all'",
     )
     run_parser.add_argument(
         "--quality", default="standard",
@@ -87,8 +118,8 @@ def _build_parser():
         help="run two runtimes head-to-head on one workload and load",
     )
     compare_parser.add_argument(
-        "--workload", default="bimodal-995-05-500",
-        help="named workload (see repro.workloads.NAMED_WORKLOADS)",
+        "--workload", default="bimodal-995-05-500", choices=NAMED_WORKLOADS,
+        help="named workload (default: bimodal-995-05-500)",
     )
     compare_parser.add_argument(
         "--load-krps", type=float, default=None,
@@ -105,9 +136,8 @@ def _build_parser():
     )
     compare_parser.add_argument("--seed", type=int, default=1)
     compare_parser.add_argument(
-        "--systems", default="shinjuku,concord",
-        help="comma-separated: persephone, shinjuku, concord, "
-             "concord-no-steal, coop-sq, coop-jbsq",
+        "--systems", default="shinjuku,concord", type=_system_list,
+        help="comma-separated: {}".format(", ".join(_SYSTEM_FACTORIES)),
     )
     _add_parallel_args(compare_parser)
     tracecmd.add_trace_args(compare_parser)
@@ -123,16 +153,16 @@ def _build_parser():
         "--workers", type=int, default=4, help="worker threads per server"
     )
     rack_parser.add_argument(
-        "--system", default="concord",
-        help="intra-server mechanism (see 'compare --systems')",
+        "--system", default="concord", choices=_SYSTEM_FACTORIES,
+        help="intra-server mechanism (default: concord)",
     )
     rack_parser.add_argument(
         "--policies", default="random,rr,jsq,po2,sed",
         help="comma-separated inter-server policies",
     )
     rack_parser.add_argument(
-        "--workload", default="bimodal-50-1-50-100",
-        help="named workload (see repro.workloads.NAMED_WORKLOADS)",
+        "--workload", default="bimodal-50-1-50-100", choices=NAMED_WORKLOADS,
+        help="named workload (default: bimodal-50-1-50-100)",
     )
     rack_parser.add_argument(
         "--load-frac", type=float, default=0.75,
@@ -169,15 +199,15 @@ def _build_parser():
         "--workers", type=int, default=4, help="worker threads per server"
     )
     faults_parser.add_argument(
-        "--system", default="concord",
-        help="intra-server mechanism (see 'compare --systems')",
+        "--system", default="concord", choices=_SYSTEM_FACTORIES,
+        help="intra-server mechanism (default: concord)",
     )
     faults_parser.add_argument(
         "--policy", default="jsq", help="inter-server routing policy"
     )
     faults_parser.add_argument(
-        "--workload", default="bimodal-50-1-50-100",
-        help="named workload (see repro.workloads.NAMED_WORKLOADS)",
+        "--workload", default="bimodal-50-1-50-100", choices=NAMED_WORKLOADS,
+        help="named workload (default: bimodal-50-1-50-100)",
     )
     faults_parser.add_argument(
         "--load-frac", type=float, default=0.75,
@@ -204,8 +234,6 @@ def _build_parser():
     faults_parser.add_argument("--seed", type=int, default=1)
     _add_parallel_args(faults_parser)
     tracecmd.add_trace_args(faults_parser)
-
-    tracecmd.add_trace_subcommand(sub)
     return parser
 
 
@@ -223,7 +251,7 @@ def _build_runner(args, stream=None):
                 "every event is observed]",
                 file=stream,
             )
-        return tracecmd.serial_runner()
+        return ParallelRunner(jobs=1, cache=None)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     try:
         return ParallelRunner(
@@ -233,22 +261,6 @@ def _build_runner(args, stream=None):
     except ValueError as exc:  # e.g. REPRO_JOBS=garbage in the environment
         print("concord-repro: error: {}".format(exc), file=sys.stderr)
         raise SystemExit(2) from None
-
-
-_SYSTEM_FACTORIES = {
-    "persephone": lambda q: _presets().persephone_fcfs(),
-    "shinjuku": lambda q: _presets().shinjuku(q),
-    "concord": lambda q: _presets().concord(q),
-    "concord-no-steal": lambda q: _presets().concord_no_steal(q),
-    "coop-sq": lambda q: _presets().coop_single_queue(q),
-    "coop-jbsq": lambda q: _presets().coop_jbsq(q),
-}
-
-
-def _presets():
-    from repro.core import presets
-
-    return presets
 
 
 def _run_compare(args, stream):
@@ -265,22 +277,14 @@ def _run_compare(args, stream):
         if args.load_krps is not None
         else 0.6 * machine.num_workers * 1e6 / workload.mean_us()
     )
-    jobs = []
-    for name in args.systems.split(","):
-        name = name.strip()
-        try:
-            factory = _SYSTEM_FACTORIES[name]
-        except KeyError:
-            raise KeyError(
-                "unknown system {!r}; known: {}".format(
-                    name, ", ".join(sorted(_SYSTEM_FACTORIES))
-                )
-            ) from None
-        jobs.append(ServerJob(
-            machine=machine, config=factory(args.quantum_us),
+    jobs = [
+        ServerJob(
+            machine=machine, config=_SYSTEM_FACTORIES[name](args.quantum_us),
             workload=workload, load_rps=load, num_requests=args.requests,
             seed=args.seed,
-        ))
+        )
+        for name in args.systems
+    ]
     rows = []
     with tracecmd.maybe_traced(args, stream, default_out="compare-trace.json"):
         outcomes = runner.map(jobs)
@@ -316,14 +320,7 @@ def _run_rack(args, stream):
     rack_capacity = args.servers * args.workers * 1e6 / workload.mean_us()
     load = args.load_frac * rack_capacity
     fabric = NetworkFabric(telemetry_staleness_us=args.staleness_us)
-    try:
-        factory = _SYSTEM_FACTORIES[args.system]
-    except KeyError:
-        raise KeyError(
-            "unknown system {!r}; known: {}".format(
-                args.system, ", ".join(sorted(_SYSTEM_FACTORIES))
-            )
-        ) from None
+    factory = _SYSTEM_FACTORIES[args.system]
     policies = [p.strip() for p in args.policies.split(",")]
     with tracecmd.maybe_traced(args, stream, default_out="rack-trace.json"):
         outcomes = runner.map([
@@ -394,14 +391,7 @@ def _run_faults(args, stream):
     rack_capacity = args.servers * args.workers * 1e6 / workload.mean_us()
     load = args.load_frac * rack_capacity
     span_us = args.requests / load * 1e6
-    try:
-        factory = _SYSTEM_FACTORIES[args.system]
-    except KeyError:
-        raise KeyError(
-            "unknown system {!r}; known: {}".format(
-                args.system, ", ".join(sorted(_SYSTEM_FACTORIES))
-            )
-        ) from None
+    factory = _SYSTEM_FACTORIES[args.system]
     plan = _fault_plan_for(args, span_us)
     rows_spec = [
         ("fault-free", None, None),
@@ -509,9 +499,6 @@ def _dispatch(args, stream):
 
     if args.command == "faults":
         return _run_faults(args, stream)
-
-    if args.command == "trace":
-        return tracecmd.run_trace_command(args, stream)
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -1,5 +1,5 @@
-"""Tracing surface of the CLI: ``concord-repro trace`` and the
-``--trace`` / ``--flight-recorder`` flags on run/compare/rack.
+"""Tracing surface of the CLI: the ``--trace`` / ``--flight-recorder``
+flags on run/compare/rack/faults.
 
 Traced executions run serially in-process with the result cache disabled
 — a cached or pool-executed simulation never touches this process's
@@ -10,7 +10,6 @@ outputs with or without these flags (``tests/test_obs.py``).
 """
 
 import json
-import sys
 from contextlib import contextmanager
 
 from repro import constants
@@ -21,7 +20,6 @@ __all__ = [
     "config_from_args",
     "maybe_traced",
     "export_session",
-    "run_trace_command",
 ]
 
 #: Tail requests named in the text report.
@@ -29,7 +27,7 @@ DEFAULT_TOP_K = 5
 
 
 def add_trace_args(parser):
-    """--trace family shared by run/compare/rack (and trace itself)."""
+    """--trace family shared by run/compare/rack/faults."""
     parser.add_argument(
         "--trace", action="store_true",
         help="record a full request-lifecycle trace (forces serial, "
@@ -41,24 +39,30 @@ def add_trace_args(parser):
              "implies --trace)",
     )
     parser.add_argument(
+        "--spans-out", default=None, metavar="FILE",
+        help="also dump reconstructed request spans as JSONL (implies "
+             "--trace)",
+    )
+    parser.add_argument(
         "--flight-recorder", action="store_true",
         help="bounded tracing: keep only the last events around each "
              "tail request instead of the full log",
     )
     parser.add_argument(
-        "--slowdown-trigger", type=float, default=None, metavar="X",
+        "--slowdown-trigger", type=float, default=constants.SLOWDOWN_SLO,
+        metavar="X",
         help="flight-recorder trigger: capture requests whose slowdown "
              "is >= X (default: {:g}, the SLO)".format(
                  constants.SLOWDOWN_SLO),
     )
 
 
+def _full_trace_requested(args):
+    return bool(args.trace or args.trace_out or args.spans_out)
+
+
 def tracing_requested(args):
-    return bool(
-        getattr(args, "trace", False)
-        or getattr(args, "trace_out", None)
-        or getattr(args, "flight_recorder", False)
-    )
+    return _full_trace_requested(args) or args.flight_recorder
 
 
 def config_from_args(args):
@@ -67,14 +71,9 @@ def config_from_args(args):
     given."""
     from repro.obs import TraceConfig
 
-    trigger = args.slowdown_trigger
-    if trigger is None:
-        trigger = constants.SLOWDOWN_SLO
-    full = bool(getattr(args, "trace", False)
-                or getattr(args, "trace_out", None))
-    if not full:
-        return TraceConfig.flight_only(slowdown_trigger=trigger)
-    return TraceConfig.full(slowdown_trigger=trigger)
+    if not _full_trace_requested(args):
+        return TraceConfig.flight_only(slowdown_trigger=args.slowdown_trigger)
+    return TraceConfig.full(slowdown_trigger=args.slowdown_trigger)
 
 
 @contextmanager
@@ -91,13 +90,6 @@ def maybe_traced(args, stream, default_out="trace.json"):
     export_session(session, args, stream, default_out=default_out)
 
 
-def serial_runner():
-    """The uncached in-process runner every traced execution uses."""
-    from repro.parallel import ParallelRunner
-
-    return ParallelRunner(jobs=1, cache=None)
-
-
 # -- export ------------------------------------------------------------------
 
 
@@ -108,14 +100,14 @@ def _session_clock(session):
     return None
 
 
-def _flight_report(bus, clock, stream, top_k):
+def _flight_report(bus, clock, stream):
     """Tail report reconstructed from flight-recorder captures."""
     from repro.obs import build_spans
 
     recorder = bus.recorder
     captures = sorted(
         recorder.captures, key=lambda c: (-c["slowdown"], c["rid"])
-    )[:top_k]
+    )[:DEFAULT_TOP_K]
     print(
         "  [{}: flight recorder saw {} events, {} trigger(s) at "
         "slowdown >= {:g}, kept {} capture(s)]".format(
@@ -145,9 +137,9 @@ def _flight_report(bus, clock, stream, top_k):
             print(line, file=stream)
 
 
-def export_session(session, args, stream, default_out="trace.json",
-                   top_k=DEFAULT_TOP_K):
-    """Write trace artifacts and print the top-K tail-request report."""
+def export_session(session, args, stream, default_out="trace.json"):
+    """Write trace artifacts, print the top-K tail-request report and a
+    line of the session's headline counters."""
     from repro.obs import build_spans, chrome_trace, tail_report
 
     buses = session.buses
@@ -163,7 +155,7 @@ def export_session(session, args, stream, default_out="trace.json",
     if recorded:
         from repro.obs import write_chrome_trace
 
-        out = getattr(args, "trace_out", None) or default_out
+        out = args.trace_out or default_out
         payload = chrome_trace(buses, clock)
         write_chrome_trace(out, payload)
         print(
@@ -173,7 +165,7 @@ def export_session(session, args, stream, default_out="trace.json",
             ),
             file=stream,
         )
-        spans_out = getattr(args, "spans_out", None)
+        spans_out = args.spans_out
         if spans_out:
             from repro.obs import write_spans_jsonl
 
@@ -191,12 +183,13 @@ def export_session(session, args, stream, default_out="trace.json",
             spans = build_spans(bus.events)
             if any(s.slowdown is not None for s in spans):
                 print("  --- {} ---".format(bus.label), file=stream)
-                print(tail_report(spans, clock, k=top_k), file=stream)
+                print(tail_report(spans, clock, k=DEFAULT_TOP_K),
+                      file=stream)
     else:
         reported = False
         for bus in buses:
             if bus.recorder is not None and bus.recorder.captures:
-                _flight_report(bus, clock, stream, top_k)
+                _flight_report(bus, clock, stream)
                 reported = True
         if not reported:
             recorders = [b.recorder for b in buses if b.recorder is not None]
@@ -209,156 +202,8 @@ def export_session(session, args, stream, default_out="trace.json",
                 ),
                 file=stream,
             )
-
-
-# -- the trace subcommand ----------------------------------------------------
-
-
-def add_trace_subcommand(sub):
-    parser = sub.add_parser(
-        "trace",
-        help="run one system or experiment with full tracing and export "
-             "a Chrome/Perfetto timeline plus a tail-request report",
-    )
-    parser.add_argument(
-        "target",
-        help="a system name (see 'compare --systems') or an experiment id "
-             "(see 'list')",
-    )
-    parser.add_argument(
-        "--quality", default="smoke",
-        choices=["smoke", "standard", "full"],
-        help="run size preset for experiment targets (default: smoke)",
-    )
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--workload", default="bimodal-50-1-50-100",
-        help="named workload for system targets",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=8,
-        help="worker threads for system targets",
-    )
-    parser.add_argument(
-        "--requests", type=int, default=4_000,
-        help="arrivals to simulate for system targets",
-    )
-    parser.add_argument(
-        "--load-frac", type=float, default=0.7,
-        help="offered load as a fraction of nominal capacity "
-             "(system targets)",
-    )
-    parser.add_argument(
-        "--quantum-us", type=float, default=5.0, help="scheduling quantum"
-    )
-    parser.add_argument(
-        "--trace-out", default=None, metavar="FILE",
-        help="Chrome trace JSON output path (default: <target>-trace.json)",
-    )
-    parser.add_argument(
-        "--spans-out", default=None, metavar="FILE",
-        help="also dump reconstructed request spans as JSONL",
-    )
-    parser.add_argument(
-        "--flight-recorder", action="store_true",
-        help="flight-recorder-only mode (no full event log)",
-    )
-    parser.add_argument(
-        "--slowdown-trigger", type=float, default=None, metavar="X",
-        help="flight-recorder trigger threshold (default: {:g})".format(
-            constants.SLOWDOWN_SLO),
-    )
-    parser.add_argument(
-        "--top", type=int, default=DEFAULT_TOP_K,
-        help="tail requests to name in the report (default: {})".format(
-            DEFAULT_TOP_K),
-    )
-    return parser
-
-
-def _trace_config(args):
-    from repro.obs import TraceConfig
-
-    trigger = args.slowdown_trigger
-    if trigger is None:
-        trigger = constants.SLOWDOWN_SLO
-    if args.flight_recorder:
-        return TraceConfig.flight_only(slowdown_trigger=trigger)
-    return TraceConfig.full(slowdown_trigger=trigger)
-
-
-def _trace_system(args, stream):
-    from repro.core.server import Server
-    from repro.hardware import c6420
-    from repro.metrics import summarize_slowdowns
-    from repro.obs import tracing
-    from repro.workloads import workload_by_name
-    from repro.workloads.arrivals import PoissonProcess
-
-    from repro.experiments.cli import _SYSTEM_FACTORIES
-
-    factory = _SYSTEM_FACTORIES[args.target]
-    machine = c6420(args.workers)
-    workload = workload_by_name(args.workload)
-    load = args.load_frac * machine.num_workers * 1e6 / workload.mean_us()
-    with tracing(_trace_config(args)) as session:
-        server = Server(machine, factory(args.quantum_us), seed=args.seed)
-        result = server.run(
-            workload, PoissonProcess(load), args.requests
-        )
-    summary = summarize_slowdowns(result.slowdowns())
-    print(
-        "{}: {} requests at {:.0f} kRps ({:.0%} of capacity) -- "
-        "p50 {:.1f}x, p99 {:.1f}x, p99.9 {:.1f}x".format(
-            args.target, args.requests, load / 1e3, args.load_frac,
-            summary.p50, summary.p99, summary.p999,
-        ),
-        file=stream,
-    )
-    return session
-
-
-def _trace_experiment(args, stream):
-    from repro.experiments.registry import run_experiment
-    from repro.obs import tracing
-
-    with tracing(_trace_config(args)) as session:
-        results = run_experiment(
-            args.target, quality=args.quality, seed=args.seed,
-            runner=serial_runner(),
-        )
-    for result in results:
-        print(result.render(), file=stream)
-        print("", file=stream)
-    return session
-
-
-def run_trace_command(args, stream=None):
-    """Entry point for ``concord-repro trace <target>``."""
-    from repro.experiments.cli import _SYSTEM_FACTORIES
-    from repro.experiments.registry import EXPERIMENTS
-
-    stream = stream or sys.stdout
-    if args.trace_out is None:
-        args.trace_out = "{}-trace.json".format(args.target)
-    if args.target in _SYSTEM_FACTORIES:
-        session = _trace_system(args, stream)
-    elif args.target in EXPERIMENTS:
-        session = _trace_experiment(args, stream)
-    else:
-        print(
-            "concord-repro trace: unknown target {!r}; systems: {}; "
-            "experiments: {}".format(
-                args.target,
-                ", ".join(sorted(_SYSTEM_FACTORIES)),
-                ", ".join(sorted(EXPERIMENTS)),
-            ),
-            file=sys.stderr,
-        )
-        return 2
-    export_session(session, args, stream, top_k=args.top)
     merged = session.merged_counters().snapshot()["counters"]
-    interesting = {
+    headline = {
         key: merged[key]
         for key in (
             "requests.arrived", "requests.completed", "requests.preempted",
@@ -367,7 +212,6 @@ def run_trace_command(args, stream=None):
         if key in merged
     }
     print(
-        "  [telemetry: {}]".format(json.dumps(interesting, sort_keys=True)),
+        "  [telemetry: {}]".format(json.dumps(headline, sort_keys=True)),
         file=stream,
     )
-    return 0

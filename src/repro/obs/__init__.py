@@ -20,7 +20,7 @@ from repro.obs.export import (
     write_spans_jsonl,
 )
 from repro.obs.recorder import FlightRecorder
-from repro.obs.registry import Counter, Gauge, Series, TelemetryRegistry
+from repro.obs.registry import Counter, Series, TelemetryRegistry
 from repro.obs.session import (
     TraceConfig,
     TraceSession,
@@ -37,7 +37,6 @@ __all__ = [
     "REQUEST_LIFECYCLE_KINDS",
     "FlightRecorder",
     "Counter",
-    "Gauge",
     "Series",
     "TelemetryRegistry",
     "TraceConfig",

@@ -4,8 +4,8 @@ A :class:`ProbeBus` is the single object a server (or the rack balancer)
 talks to while instrumented.  Components hold a ``probes`` attribute that
 is ``None`` by default and guard every probe site with ``if probes is not
 None`` — so the uninstrumented hot path costs one attribute load and a
-falsy check per site, and the engine drain loop is not touched at all
-(``bench/run.py`` tracks the untraced throughput).
+falsy check per site.  The engine drain loop has no observation hook at
+all (``bench/run.py`` tracks the untraced throughput).
 
 The bus fans each probe out three ways:
 
@@ -31,16 +31,13 @@ class ProbeBus:
     """Collects probe events for one server (or balancer); see module doc."""
 
     def __init__(self, label="server", record_events=True, recorder=None,
-                 registry=None, sample_interval=0, engine_events=False):
+                 sample_interval=0):
         #: Human-readable name; becomes the process name in Chrome traces.
         self.label = label
         self.record_events = record_events
-        #: Whether the owner should attach :meth:`sim_event` as the
-        #: engine's per-event hook (raw feed; opt-in).
-        self.engine_events = engine_events
         self.events = []
         self.recorder = recorder
-        self.registry = registry if registry is not None else TelemetryRegistry()
+        self.registry = TelemetryRegistry()
         #: Sampling period in cycles (0 disables sampling).  Samples are
         #: taken opportunistically at probe instants, never via scheduled
         #: events, so sampling cannot change the event sequence.
@@ -221,42 +218,11 @@ class ProbeBus:
         self.registry.count("resilience.shed")
         self._emit(ProbeEvent(t, ev.SHED, rid=rid))
 
-    # -- raw engine events --------------------------------------------------
-
-    def sim_event(self, t, name):
-        """Sink for the engine's per-event hook (voluminous; opt-in)."""
-        self.registry.count("engine.events")
-        self._emit(ProbeEvent(t, ev.SIM, data={"name": name}))
-
     # -- end of run ---------------------------------------------------------
 
-    def finalize_run(self, server):
-        """Absorb end-of-run engine/agent introspection into the registry
-        and mark still-in-flight requests as dropped."""
-        sim = server.sim
-        t = sim.now
-        registry = self.registry
-        registry.record("engine.events_run", sim.events_run)
-        registry.record("engine.events_cancelled", sim.events_cancelled)
-        registry.record("engine.heap_size", sim.heap_size)
-        registry.record("engine.dead_in_heap", sim.dead_in_heap)
-        registry.record("engine.compactions", sim.compactions)
-        d = server.dispatcher
-        registry.record("dispatcher.busy_cycles", d.busy_cycles)
-        registry.record("dispatcher.signals_sent", d.signals_sent)
-        registry.record("dispatcher.stale_signals_skipped",
-                        d.stale_signals_skipped)
-        registry.record("dispatcher.steals_started", d.steals_started)
-        registry.record("dispatcher.steal_completions", d.steal_completions)
-        for worker in server.workers:
-            prefix = "worker.{}.".format(worker.wid)
-            registry.record(prefix + "idle_cycles", worker.idle_cycles)
-            registry.record(prefix + "busy_cycles", worker.busy_cycles)
-            registry.record(prefix + "work_cycles", worker.work_cycles)
-            registry.record(prefix + "preemptions",
-                            worker.preemptions_taken)
-            registry.record(prefix + "completed",
-                            worker.requests_completed)
+    def finalize_run(self, t):
+        """Mark requests still in flight at cycle ``t`` (the end of the
+        run) as dropped."""
         for rid in list(self._inflight):
             request = self._inflight.pop(rid)
             self.registry.count("requests.dropped")

@@ -15,8 +15,8 @@ The request lifecycle is::
 with two side branches: the work-conserving dispatcher's ``STEAL`` /
 ``STEAL_PAUSE`` slices (section 3.3 of the paper) and ``DROP`` for
 requests abandoned by a hard ``until_us`` stop.  ``WORKER_IDLE``,
-``ACTION``, ``ROUTE``, ``REPLY``, and ``SIM`` cover worker, dispatcher,
-balancer, and raw-engine state transitions.
+``ACTION``, ``ROUTE``, and ``REPLY`` cover worker, dispatcher, and
+balancer state transitions.
 """
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "ACTION",
     "ROUTE",
     "REPLY",
-    "SIM",
     "CRASH",
     "RECOVER",
     "RETRY",
@@ -71,8 +70,6 @@ ACTION = "action"
 ROUTE = "route"
 #: A completion's reply landed back at the balancer.
 REPLY = "reply"
-#: A raw engine event fired (the deprecated ``trace`` callback's view).
-SIM = "sim"
 #: The fault injector crashed a server (data: server, lost count).
 CRASH = "crash"
 #: A crashed server came back up.
@@ -95,7 +92,7 @@ REQUEST_LIFECYCLE_KINDS = (
 
 #: Every kind a :class:`ProbeEvent` may carry.
 EVENT_KINDS = REQUEST_LIFECYCLE_KINDS + (
-    WORKER_IDLE, ACTION, ROUTE, REPLY, SIM,
+    WORKER_IDLE, ACTION, ROUTE, REPLY,
     CRASH, RECOVER, RETRY, HEDGE, SHED,
 )
 

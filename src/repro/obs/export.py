@@ -35,7 +35,7 @@ def _slice_name(span):
     return "r{}".format(span.rid)
 
 
-def chrome_trace(buses, clock, include_counters=True):
+def chrome_trace(buses, clock):
     """Build a Chrome ``trace_event`` JSON object from probe buses.
 
     ``clock`` converts cycle stamps to the microseconds the format wants;
@@ -84,17 +84,16 @@ def chrome_trace(buses, clock, include_counters=True):
                     "dur": clock.cycles_to_us(s.end - s.start),
                     "args": args,
                 })
-        if include_counters:
-            for name, series in bus.registry.series.items():
-                for t, value in series.samples:
-                    trace_events.append({
-                        "ph": "C",
-                        "pid": pid,
-                        "tid": 0,
-                        "name": name,
-                        "ts": clock.cycles_to_us(t),
-                        "args": {"value": value},
-                    })
+        for name, series in bus.registry.series.items():
+            for t, value in series.samples:
+                trace_events.append({
+                    "ph": "C",
+                    "pid": pid,
+                    "tid": 0,
+                    "name": name,
+                    "ts": clock.cycles_to_us(t),
+                    "args": {"value": value},
+                })
     return {
         "traceEvents": trace_events,
         "displayTimeUnit": "ms",

@@ -1,13 +1,10 @@
-"""Telemetry registry: named counters, gauges, and sim-time series.
+"""Telemetry registry: named counters and sim-time series.
 
 One :class:`TelemetryRegistry` rides along with each probe bus and holds
 the run's aggregate instruments:
 
 * **counters** — monotonically increasing event tallies (arrivals,
-  dispatches, preemptions, steals, completions, cache hits, ...);
-* **gauges** — last-value observations (engine heap size, dead entries,
-  compactions — the introspection counters :class:`~repro.sim.engine.Simulator`
-  grew in PR 4 land here at end of run);
+  dispatches, preemptions, steals, completions, ...);
 * **series** — ``(sim_cycle, value)`` samples appended at deterministic
   simulated instants (per-worker utilization and queue depth).  Series are
   stamped with *simulated* time only; sampling is piggybacked on probe
@@ -20,7 +17,7 @@ filesystem, no ambient environment — the registry may be populated from
 inside a simulation without breaking the purity certificate.
 """
 
-__all__ = ["Counter", "Gauge", "Series", "TelemetryRegistry"]
+__all__ = ["Counter", "Series", "TelemetryRegistry"]
 
 
 class Counter:
@@ -37,22 +34,6 @@ class Counter:
 
     def __repr__(self):
         return "Counter({}={})".format(self.name, self.value)
-
-
-class Gauge:
-    """A last-value observation."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name):
-        self.name = name
-        self.value = None
-
-    def set(self, value):
-        self.value = value
-
-    def __repr__(self):
-        return "Gauge({}={})".format(self.name, self.value)
 
 
 class Series:
@@ -83,7 +64,6 @@ class TelemetryRegistry:
 
     def __init__(self):
         self.counters = {}
-        self.gauges = {}
         self.series = {}
 
     # -- get-or-create ------------------------------------------------------
@@ -92,12 +72,6 @@ class TelemetryRegistry:
         instrument = self.counters.get(name)
         if instrument is None:
             instrument = self.counters[name] = Counter(name)
-        return instrument
-
-    def gauge(self, name):
-        instrument = self.gauges.get(name)
-        if instrument is None:
-            instrument = self.gauges[name] = Gauge(name)
         return instrument
 
     def time_series(self, name):
@@ -111,9 +85,6 @@ class TelemetryRegistry:
     def count(self, name, n=1):
         self.counter(name).inc(n)
 
-    def record(self, name, value):
-        self.gauge(name).set(value)
-
     def sample(self, name, t, value):
         self.time_series(name).append(t, value)
 
@@ -125,7 +96,6 @@ class TelemetryRegistry:
             "counters": {
                 name: c.value for name, c in self.counters.items()
             },
-            "gauges": {name: g.value for name, g in self.gauges.items()},
             "series": {
                 name: [[t, v] for t, v in s.samples]
                 for name, s in self.series.items()
@@ -139,6 +109,6 @@ class TelemetryRegistry:
             self.counter(name).inc(counter.value)
 
     def __repr__(self):
-        return "TelemetryRegistry(counters={}, gauges={}, series={})".format(
-            len(self.counters), len(self.gauges), len(self.series)
+        return "TelemetryRegistry(counters={}, series={})".format(
+            len(self.counters), len(self.series)
         )

@@ -43,15 +43,13 @@ class TraceConfig:
     ``record_events`` keeps the full in-order event log (timeline export
     needs it); ``flight_capacity`` > 0 attaches a bounded
     :class:`~repro.obs.recorder.FlightRecorder` whose ``slowdown_trigger``
-    snapshots the ring around tail completions; ``engine_events`` opts
-    into the raw per-event engine feed (voluminous); a positive
+    snapshots the ring around tail completions; a positive
     ``sample_interval_us`` samples per-worker queue depth/busy state at
     that simulated period (piggybacked on probe instants — never via
     scheduled events).
     """
 
     record_events: bool = True
-    engine_events: bool = False
     flight_capacity: int = 0
     slowdown_trigger: float = constants.SLOWDOWN_SLO
     max_captures: int = 32
@@ -91,8 +89,6 @@ class TraceSession:
     def __init__(self, config=None):
         self.config = config if config is not None else TraceConfig()
         self.buses = []
-        #: Session-wide registry (e.g. runner job telemetry folds in here).
-        self.telemetry = TelemetryRegistry()
 
     def make_bus(self, label, clock=None):
         """Mint a bus configured per the session; labels are made unique
@@ -124,18 +120,16 @@ class TraceSession:
             record_events=record_events,
             recorder=recorder,
             sample_interval=interval,
-            engine_events=config.engine_events,
         )
         bus.clock = clock
         self.buses.append(bus)
         return bus
 
     def merged_counters(self):
-        """Counters summed across every bus plus the session registry."""
+        """Counters summed across every bus."""
         merged = TelemetryRegistry()
         for bus in self.buses:
             merged.merge_counts(bus.registry)
-        merged.merge_counts(self.telemetry)
         return merged
 
     def __repr__(self):
@@ -166,11 +160,9 @@ def tracing(config=None):
         _ACTIVE = None
 
 
-def resolve_probes(server, probes):
-    """The seam ``Server.__init__`` calls: explicit bus, ambient session,
+def resolve_probes(server):
+    """The seam ``Server.__init__`` calls: a bus from the ambient session,
     or None (the zero-overhead default)."""
-    if probes is not None:
-        return probes.bind_server(server)
     session = _ACTIVE
     if session is None:
         return None

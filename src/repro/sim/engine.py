@@ -106,21 +106,11 @@ class Simulator:
         self.now = 0
         self._heap = []
         self._seq = 0
-        self._trace = None
         self._events_run = 0
         self._events_cancelled = 0
         self._dead_in_heap = 0
         self._compactions = 0
         self._running = False
-
-    def attach_probes(self, bus):
-        """Feed every fired event into ``bus.sim_event(time, name)``.
-
-        The sink rides the hoisted trace branch of the drain loop, so the
-        no-observer path stays exactly as fast.
-        """
-        self._trace = bus.sim_event
-        return self
 
     # -- scheduling ---------------------------------------------------------
     #
@@ -233,36 +223,6 @@ class Simulator:
 
     # -- execution ------------------------------------------------------------
 
-    def step(self):
-        """Run the next pending event.  Returns False when the queue is
-        empty."""
-        heap = self._heap
-        while heap:
-            entry = heappop(heap)
-            event = entry[2]
-            if event is None:
-                self.now = entry[0]
-                if self._trace is not None:
-                    self._trace(entry[0], entry[4])
-                self._events_run += 1
-                arg = entry[5]
-                if arg is _NO_ARG:
-                    entry[3]()
-                else:
-                    entry[3](arg)
-                return True
-            if event.cancelled:
-                self._dead_in_heap -= 1
-                continue
-            event._sim = None
-            self.now = entry[0]
-            if self._trace is not None:
-                self._trace(entry[0], event.name)
-            self._events_run += 1
-            event.callback()
-            return True
-        return False
-
     def run(self, until=None, max_events=None):
         """Run until the queue drains, ``until`` cycles pass, or
         ``max_events`` events have executed — whichever comes first.
@@ -275,7 +235,6 @@ class Simulator:
         heap = self._heap
         pop = heappop
         no_arg = _NO_ARG
-        trace = self._trace
         # Absent bounds become ones that never bite, so the loop compares
         # numbers instead of testing for None on every event.
         budget = max_events if max_events is not None else _UNBOUNDED
@@ -298,8 +257,6 @@ class Simulator:
                     break
                 self.now = time
                 if event is None:
-                    if trace is not None:
-                        trace(time, entry[4])
                     arg = entry[5]
                     if arg is no_arg:
                         entry[3]()
@@ -307,8 +264,6 @@ class Simulator:
                         entry[3](arg)
                 else:
                     event._sim = None
-                    if trace is not None:
-                        trace(time, event.name)
                     event.callback()
                 executed += 1
             else:

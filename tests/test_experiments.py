@@ -18,6 +18,17 @@ from repro.experiments.registry import (
 )
 
 
+def usage_error(argv, capsys):
+    """Run the CLI on ``argv``, expect an argparse usage error (exit 2,
+    no traceback) and return its one-line message."""
+    with pytest.raises(SystemExit) as info:
+        cli_main(argv, stream=io.StringIO())
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err.strip().splitlines()[-1]
+
+
 class TestRegistry:
     def test_every_paper_figure_is_covered(self):
         expected = {
@@ -130,9 +141,14 @@ class TestCli:
         assert "Concord instrumentation" in stream.getvalue()
         assert (tmp_path / "fig2.txt").exists()
 
-    def test_run_unknown_experiment_raises(self):
-        with pytest.raises(KeyError):
-            cli_main(["run", "fig99"], stream=io.StringIO())
+    def test_run_unknown_experiment_raises(self, capsys):
+        err = usage_error(["run", "fig99"], capsys)
+        assert "'fig99'" in err and "fig6" in err
+
+    @pytest.mark.parametrize("command", ["rack", "faults"])
+    def test_unknown_system_flag_is_a_usage_error(self, command, capsys):
+        err = usage_error([command, "--system", "nope"], capsys)
+        assert "'nope'" in err and "concord-no-steal" in err
 
     def test_interrupted_sweep_exits_130_naming_the_cache(
             self, tmp_path, monkeypatch, capsys):
@@ -170,14 +186,13 @@ class TestCompareCommand:
         assert "Concord" in output
         assert "p99.9" in output
 
-    def test_compare_unknown_system(self):
-        with pytest.raises(KeyError):
-            cli_main(
-                ["compare", "--systems", "windows95"], stream=io.StringIO()
-            )
+    def test_compare_unknown_system(self, capsys):
+        err = usage_error(
+            ["compare", "--systems", "concord,windows95"], capsys
+        )
+        assert "'windows95'" in err and "'concord'" not in err
+        assert "coop-jbsq" in err
 
-    def test_compare_unknown_workload(self):
-        with pytest.raises(KeyError):
-            cli_main(
-                ["compare", "--workload", "cobol"], stream=io.StringIO()
-            )
+    def test_compare_unknown_workload(self, capsys):
+        err = usage_error(["compare", "--workload", "cobol"], capsys)
+        assert "'cobol'" in err and "tpcc" in err

@@ -244,11 +244,11 @@ class TestPostArgument:
         seen = []
         sim.post(3, seen.append, "x", 7)
         sim.post(4, lambda: seen.append("bare"))
-        assert sim.step() is True
+        assert sim.run(max_events=1) == 1
         assert (seen, sim.now) == ([7], 3)
-        assert sim.step() is True
+        assert sim.run(max_events=1) == 1
         assert (seen, sim.now) == ([7, "bare"], 4)
-        assert sim.step() is False
+        assert sim.run(max_events=1) == 0
 
     def test_max_events_stops_without_moving_now(self):
         sim = Simulator()
@@ -298,16 +298,6 @@ class TestPostArgument:
         sim.run()
         assert seen == ["live", None]
 
-    def test_trace_sees_argument_events(self):
-        sim = Simulator()
-        traced = []
-        sim.attach_probes(SimpleNamespace(
-            sim_event=lambda t, name: traced.append((t, name))))
-        sim.post(2, lambda _arg: None, "with-arg", 1)
-        sim.post(3, lambda: None, "bare")
-        sim.run()
-        assert traced == [(2, "with-arg"), (3, "bare")]
-
 
 def test_bounded_run_then_late_insert():
     """run(until=...) advances now to the bound; later inserts between
@@ -328,12 +318,12 @@ def test_step_and_max_events():
     seen = []
     for i in range(5):
         sim.at(10 * (i + 1), lambda i=i: seen.append(i))
-    assert sim.step() is True
+    assert sim.run(max_events=1) == 1
     assert seen == [0]
     assert sim.run(max_events=2) == 2
     assert seen == [0, 1, 2]
     assert sim.run() == 2
-    assert sim.step() is False
+    assert sim.run(max_events=1) == 0
 
 
 def test_reentrant_run_raises():
@@ -644,7 +634,7 @@ def _bounded_trace(sim, seed):
         if sim.pending == 0 and len(log) >= 800:
             break
     for _ in range(5):
-        log.append(("step", sim.step(), sim.now))
+        log.append(("step", sim.run(max_events=1), sim.now))
     return log, sim.events_run, sim.events_cancelled
 
 
