@@ -72,10 +72,6 @@ SIM_PACKAGES = (
     # kill/resume differentials in tests/test_resilience.py enforce that
     # supervised results stay bit-identical.
     "repro.parallel.jobs",
-    # The compiled IR fast-path: exec-generated closures run inside
-    # simulations (profile_kernel), so the generator itself must be
-    # certified sim-pure — the closures can only read what it emits.
-    "repro.instrument.compile",
     # Fault injection and resilience mutate live simulation state; their
     # determinism (seeded injector stream, fixed thresholds) is exactly
     # what the certificate must cover.

@@ -156,21 +156,20 @@ CLUSTER_POLICIES = {
 
 
 def make_cluster_policy(spec):
-    """Build a policy from a name ("random", "rr", "jsq", "po2", "po3",
-    "sed"), or pass an :class:`InterServerPolicy` instance through."""
+    """Build a policy from a name ("random", "rr", "jsq", "sed", "po<d>")
+    or pass an :class:`InterServerPolicy` through; ValueError otherwise."""
     if isinstance(spec, InterServerPolicy):
         return spec
     name = str(spec).lower()
-    if name.startswith("po") and name not in CLUSTER_POLICIES:
+    if name in CLUSTER_POLICIES:
+        return CLUSTER_POLICIES[name]()
+    if name.startswith("po"):
         try:
             return Po2Policy(d=int(name[2:]))
         except ValueError:
             pass
-    try:
-        return CLUSTER_POLICIES[name]()
-    except KeyError:
-        raise KeyError(
-            "unknown inter-server policy {!r}; known: {}".format(
-                spec, ", ".join(sorted(CLUSTER_POLICIES))
-            )
-        ) from None
+    raise ValueError(
+        "unknown inter-server policy {!r}; known: {}, po<d> (d >= 2)".format(
+            spec, ", ".join(sorted(CLUSTER_POLICIES))
+        )
+    )

@@ -49,6 +49,22 @@ def _system_list(text):
     return names
 
 
+def _policy_name(text):
+    """``--policy`` parser: a name ``make_cluster_policy`` accepts."""
+    from repro.cluster import make_cluster_policy
+
+    try:
+        make_cluster_policy(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
+def _policy_list(text):
+    """``--policies`` parser: comma-separated policy names."""
+    return [_policy_name(name.strip()) for name in text.split(",")]
+
+
 def _add_parallel_args(parser):
     """--jobs / cache flags shared by the simulation-heavy subcommands."""
     parser.add_argument(
@@ -157,7 +173,7 @@ def _build_parser():
         help="intra-server mechanism (default: concord)",
     )
     rack_parser.add_argument(
-        "--policies", default="random,rr,jsq,po2,sed",
+        "--policies", default="random,rr,jsq,po2,sed", type=_policy_list,
         help="comma-separated inter-server policies",
     )
     rack_parser.add_argument(
@@ -203,7 +219,8 @@ def _build_parser():
         help="intra-server mechanism (default: concord)",
     )
     faults_parser.add_argument(
-        "--policy", default="jsq", help="inter-server routing policy"
+        "--policy", default="jsq", type=_policy_name,
+        help="inter-server routing policy",
     )
     faults_parser.add_argument(
         "--workload", default="bimodal-50-1-50-100", choices=NAMED_WORKLOADS,
@@ -321,7 +338,6 @@ def _run_rack(args, stream):
     load = args.load_frac * rack_capacity
     fabric = NetworkFabric(telemetry_staleness_us=args.staleness_us)
     factory = _SYSTEM_FACTORIES[args.system]
-    policies = [p.strip() for p in args.policies.split(",")]
     with tracecmd.maybe_traced(args, stream, default_out="rack-trace.json"):
         outcomes = runner.map([
             RackJob(
@@ -330,10 +346,10 @@ def _run_rack(args, stream):
                 load_rps=load, num_requests=args.requests, seed=args.seed,
                 fabric=fabric,
             )
-            for policy in policies
+            for policy in args.policies
         ])
     rows = []
-    for policy, outcome in zip(policies, outcomes):
+    for policy, outcome in zip(args.policies, outcomes):
         rows.append([
             policy, outcome["p50"], outcome["p99"], outcome["p999"],
             round(outcome["imbalance"], 3),

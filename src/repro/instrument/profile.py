@@ -19,7 +19,7 @@ import math
 import random
 
 from repro.hardware.cpu import CycleClock
-from repro.instrument.compile import executor_for
+from repro.instrument.interp import Interpreter
 from repro.instrument.optim import optimize_function
 from repro.instrument.passes import (
     BaselineOptimizePass,
@@ -165,7 +165,7 @@ def profile_kernel(kernel_factory, style=CACHELINE_STYLE, unroll=True,
     for function in base_module.functions.values():
         optimize_function(function)
         baseline_pass.run(function)
-    base = executor_for(base_module, record_probes=False).run(args=args)
+    base = Interpreter(base_module, record_probes=False).run(args=args)
 
     # The instrumented build goes through the same scalar optimizations
     # before probes are inserted (Concord instruments optimized IR).
@@ -187,8 +187,7 @@ def profile_kernel(kernel_factory, style=CACHELINE_STYLE, unroll=True,
         # and compiles through the same -O3 pipeline as the baseline.
         for function in module.functions.values():
             baseline_pass.run(function)
-    # The compiled fast-path (bit-identical; REPRO_IR_BACKEND selects).
-    run = executor_for(module).run(args=args)
+    run = Interpreter(module).run(args=args)
 
     return InstrumentationProfile(
         name=name or base_module.name,

@@ -190,8 +190,10 @@ class TestPolicyFactory:
         assert make_cluster_policy(policy) is policy
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="po<d>"):
             make_cluster_policy("magic")
+        with pytest.raises(ValueError, match="'nope'"):
+            Cluster(c6420(WORKERS), concord(QUANTUM_US), 2, policy="nope")
 
     def test_po1_rejected(self):
         with pytest.raises(ValueError):

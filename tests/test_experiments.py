@@ -150,6 +150,20 @@ class TestCli:
         err = usage_error([command, "--system", "nope"], capsys)
         assert "'nope'" in err and "concord-no-steal" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["faults", "--scenario", "crash", "--servers", "2", "--requests",
+         "200", "--policy", "nope"],
+        ["rack", "--policies", "jsq,nope"],
+    ])
+    def test_unknown_policy_is_a_usage_error(self, argv, capsys):
+        err = usage_error(argv, capsys)
+        assert "'nope'" in err and "jsq" in err and "po<d>" in err
+
+    def test_po_d_policy_names_accepted(self):
+        from repro.experiments.cli import _policy_list
+
+        assert _policy_list("jsq, po3") == ["jsq", "po3"]
+
     def test_interrupted_sweep_exits_130_naming_the_cache(
             self, tmp_path, monkeypatch, capsys):
         from repro.experiments import cli
