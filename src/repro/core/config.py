@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro import constants
+from repro.core.policies import check_policy
 
 __all__ = [
     "RuntimeConfig",
@@ -152,6 +153,7 @@ class RuntimeConfig:
         if self.queue_mode not in ("sq", "jbsq"):
             raise ValueError("queue_mode must be 'sq' or 'jbsq', got {!r}".format(
                 self.queue_mode))
+        check_policy(self.policy)
         if self.jbsq_depth < 1:
             raise ValueError("jbsq_depth must be >= 1, got {}".format(self.jbsq_depth))
         if self.quantum_us is not None and self.quantum_us <= 0:

@@ -118,12 +118,15 @@ class SRPTPolicy:
 _POLICIES = {"fcfs": FCFSPolicy, "srpt": SRPTPolicy}
 
 
+def check_policy(name):
+    """Raise ValueError unless ``name`` is a known central-queue policy."""
+    if name not in _POLICIES:
+        raise ValueError(
+            "unknown policy {!r}; known: {}".format(name, ", ".join(sorted(_POLICIES)))
+        )
+
+
 def make_policy(name):
     """Instantiate a policy by name ('fcfs' or 'srpt')."""
-    try:
-        cls = _POLICIES[name]
-    except KeyError:
-        raise KeyError(
-            "unknown policy {!r}; known: {}".format(name, ", ".join(sorted(_POLICIES)))
-        ) from None
-    return cls()
+    check_policy(name)
+    return _POLICIES[name]()

@@ -11,7 +11,13 @@ See ``docs/observability.md``.
 """
 
 from repro.obs.bus import ProbeBus
-from repro.obs.events import EVENT_KINDS, REQUEST_LIFECYCLE_KINDS, ProbeEvent
+from repro.obs.events import (
+    EVENT_KINDS,
+    FIELDS,
+    REQUEST_LIFECYCLE_KINDS,
+    event_data,
+    event_dict,
+)
 from repro.obs.export import (
     chrome_trace,
     tail_report,
@@ -32,8 +38,10 @@ from repro.obs.spans import ExecSlice, RequestSpan, build_spans
 
 __all__ = [
     "ProbeBus",
-    "ProbeEvent",
     "EVENT_KINDS",
+    "FIELDS",
+    "event_data",
+    "event_dict",
     "REQUEST_LIFECYCLE_KINDS",
     "FlightRecorder",
     "Counter",

@@ -1,11 +1,20 @@
-"""Typed probe events: the vocabulary of the observability layer.
+"""Probe events: the vocabulary of the observability layer.
 
-Every probe the simulation emits is a :class:`ProbeEvent` — a flat,
-allocation-cheap record stamped with **simulated** time (integer cycles)
-and keyed by stable identifiers (request id, worker id).  Nothing here may
-touch the wall clock, the filesystem, or process-global randomness: probe
-events ride inside the simulation and the repro-san purity certificate
-covers them (see ``docs/determinism.md``).
+Every probe the simulation emits is one flat tuple of atoms::
+
+    (t, kind, rid, wid, *values)
+
+stamped with **simulated** time ``t`` (integer cycles) and keyed by stable
+identifiers: the request id ``rid`` and worker id ``wid``, each None when
+the event is not about a specific request or worker.  ``FIELDS[kind]``
+names the trailing ``values`` in order; :func:`event_data` and
+:func:`event_dict` give the named view.  Plain tuples compare and hash by
+value, and CPython stops tracking a tuple of atoms in the cyclic garbage
+collector once it survives a young-generation collection, so a long event
+log is never rescanned.  Nothing here may touch the wall clock, the
+filesystem, or process-global randomness: probe events ride inside the
+simulation and the repro-san purity certificate covers them (see
+``docs/determinism.md``).
 
 The request lifecycle is::
 
@@ -20,7 +29,9 @@ balancer state transitions.
 """
 
 __all__ = [
-    "ProbeEvent",
+    "FIELDS",
+    "event_data",
+    "event_dict",
     "ARRIVAL",
     "ENQUEUE",
     "DISPATCH",
@@ -90,61 +101,56 @@ REQUEST_LIFECYCLE_KINDS = (
     COMPLETE, DROP,
 )
 
-#: Every kind a :class:`ProbeEvent` may carry.
+#: Every kind a probe event may carry.
 EVENT_KINDS = REQUEST_LIFECYCLE_KINDS + (
     WORKER_IDLE, ACTION, ROUTE, REPLY,
     CRASH, RECOVER, RETRY, HEDGE, SHED,
 )
 
+#: Names of the values that follow ``(t, kind, rid, wid)`` in an event of
+#: each kind.  A requeued ENQUEUE carries ``(True,)``; a fresh one has no
+#: values.
+FIELDS = {
+    ARRIVAL: ("request_kind", "service_cycles"),
+    ENQUEUE: ("requeued",),
+    DISPATCH: (),
+    START: ("run_start", "resumed"),
+    PREEMPT: ("preemptions",),
+    STEAL: ("exec_start", "completes"),
+    STEAL_PAUSE: (),
+    COMPLETE: ("slowdown", "preemptions", "stolen"),
+    DROP: ("remaining_cycles",),
+    WORKER_IDLE: (),
+    ACTION: ("name", "cost"),
+    ROUTE: ("server",),
+    REPLY: ("server",),
+    CRASH: ("server", "lost"),
+    RECOVER: ("server",),
+    RETRY: ("attempt", "server"),
+    HEDGE: ("server",),
+    SHED: (),
+}
 
-class ProbeEvent:
-    """One observation: ``(t, kind, rid, wid, data)``.
 
-    ``t`` is simulated cycles; ``rid``/``wid`` are None when the event is
-    not about a specific request/worker; ``data`` is an optional dict of
-    kind-specific details (service cycles, run-start cycle, ...).
-    """
+def event_data(event):
+    """The event's trailing values keyed by their ``FIELDS`` names, or None
+    when it has none."""
+    values = event[4:]
+    if not values:
+        return None
+    return dict(zip(FIELDS[event[1]], values))
 
-    __slots__ = ("t", "kind", "rid", "wid", "data")
 
-    def __init__(self, t, kind, rid=None, wid=None, data=None):
-        self.t = t
-        self.kind = kind
-        self.rid = rid
-        self.wid = wid
-        self.data = data
-
-    def key(self):
-        """A plain tuple capturing the full event (tests compare these)."""
-        data = None
-        if self.data is not None:
-            data = tuple(sorted(self.data.items()))
-        return (self.t, self.kind, self.rid, self.wid, data)
-
-    def to_dict(self):
-        out = {"t": self.t, "kind": self.kind}
-        if self.rid is not None:
-            out["rid"] = self.rid
-        if self.wid is not None:
-            out["wid"] = self.wid
-        if self.data:
-            out.update(self.data)
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, ProbeEvent):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        extra = ""
-        if self.rid is not None:
-            extra += ", rid={}".format(self.rid)
-        if self.wid is not None:
-            extra += ", wid={}".format(self.wid)
-        if self.data:
-            extra += ", {!r}".format(self.data)
-        return "ProbeEvent(t={}, kind={!r}{})".format(self.t, self.kind, extra)
+def event_dict(event):
+    """A JSON-ready dict of the event: ``t`` and ``kind``, ``rid``/``wid``
+    when set, then the named values."""
+    t, kind, rid, wid = event[:4]
+    out = {"t": t, "kind": kind}
+    if rid is not None:
+        out["rid"] = rid
+    if wid is not None:
+        out["wid"] = wid
+    data = event_data(event)
+    if data:
+        out.update(data)
+    return out

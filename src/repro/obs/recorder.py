@@ -19,7 +19,11 @@ __all__ = ["FlightRecorder"]
 
 
 class FlightRecorder:
-    """Ring buffer of :class:`~repro.obs.events.ProbeEvent` with triggers.
+    """Ring buffer of probe event tuples (see :mod:`repro.obs.events`)
+    with triggers.
+
+    A :class:`~repro.obs.bus.ProbeBus` appends to :attr:`ring` and bumps
+    :attr:`events_seen` itself, with no :meth:`record` frame per event.
 
     Parameters
     ----------
@@ -35,7 +39,7 @@ class FlightRecorder:
     """
 
     __slots__ = ("capacity", "slowdown_trigger", "max_captures",
-                 "_ring", "captures", "triggers_fired", "events_seen")
+                 "ring", "captures", "triggers_fired", "events_seen")
 
     def __init__(self, capacity=512, slowdown_trigger=None, max_captures=32):
         if capacity <= 0:
@@ -43,7 +47,8 @@ class FlightRecorder:
         self.capacity = capacity
         self.slowdown_trigger = slowdown_trigger
         self.max_captures = max_captures
-        self._ring = deque(maxlen=capacity)
+        #: The last ``capacity`` events, oldest first.
+        self.ring = deque(maxlen=capacity)
         self.captures = []
         self.triggers_fired = 0
         self.events_seen = 0
@@ -51,7 +56,7 @@ class FlightRecorder:
     def record(self, event):
         """Append one probe event to the ring."""
         self.events_seen += 1
-        self._ring.append(event)
+        self.ring.append(event)
 
     def maybe_trigger(self, t, rid, slowdown):
         """Evaluate the slowdown trigger for a just-completed request."""
@@ -64,16 +69,16 @@ class FlightRecorder:
                 "rid": rid,
                 "t": t,
                 "slowdown": slowdown,
-                "events": list(self._ring),
+                "events": list(self.ring),
             })
         return True
 
     def tail(self):
         """The current ring contents, oldest first."""
-        return list(self._ring)
+        return list(self.ring)
 
     def __len__(self):
-        return len(self._ring)
+        return len(self.ring)
 
     def __repr__(self):
         return (

@@ -60,6 +60,16 @@ class TraceConfig:
     #: ``None`` removes the bound.
     max_recorded_runs: int = 8
 
+    def __post_init__(self):
+        for name in ("flight_capacity", "max_captures", "sample_interval_us",
+                     "max_recorded_runs"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(
+                    "TraceConfig.{} must be non-negative, got {!r}".format(
+                        name, value)
+                )
+
     @classmethod
     def full(cls, sample_interval_us=25.0, flight_capacity=512,
              slowdown_trigger=constants.SLOWDOWN_SLO):

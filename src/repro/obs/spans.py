@@ -115,58 +115,49 @@ class RequestSpan:
 
 
 def build_spans(probe_events):
-    """Fold an in-order event sequence into spans, one per request id.
+    """Fold an in-order sequence of event tuples into spans, one per
+    request id.
 
     Returns spans in first-seen order.  Tolerates partial sequences:
     unmatched closes are ignored, unclosed slices keep ``end=None``.
     """
     spans = {}
-
-    def span_for(event):
-        span = spans.get(event.rid)
-        if span is None:
-            span = spans[event.rid] = RequestSpan(event.rid, event.t)
-        return span
-
     for event in probe_events:
-        kind = event.kind
-        if event.rid is None:
+        t, kind, rid, wid = event[:4]
+        if rid is None:
             continue
-        span = span_for(event)
-        data = event.data or {}
+        span = spans.get(rid)
+        if span is None:
+            span = spans[rid] = RequestSpan(rid, t)
         if kind == ev.ARRIVAL:
-            span.arrival = event.t
-            span.kind = data.get("request_kind")
-            span.service_cycles = data.get("service_cycles")
+            span.arrival = t
+            span.kind, span.service_cycles = event[4:]
         elif kind == ev.ROUTE:
-            span.routed = event.t
+            span.routed = t
         elif kind == ev.ENQUEUE:
-            span.queue_times.append(event.t)
+            span.queue_times.append(t)
         elif kind == ev.START:
-            start = data.get("run_start", event.t)
-            span.slices.append(ExecSlice(start, wid=event.wid))
+            span.slices.append(ExecSlice(event[4], wid=wid))
         elif kind == ev.PREEMPT:
-            span.preemptions = data.get("preemptions", span.preemptions)
+            span.preemptions = event[4]
             open_slice = span._open_slice()
             if open_slice is not None:
-                open_slice.end = event.t
+                open_slice.end = t
         elif kind == ev.STEAL:
             span.stolen = True
-            start = data.get("exec_start", event.t)
-            span.slices.append(ExecSlice(start, stolen=True))
+            span.slices.append(ExecSlice(event[4], stolen=True))
         elif kind == ev.STEAL_PAUSE:
             open_slice = span._open_slice()
             if open_slice is not None:
-                open_slice.end = event.t
+                open_slice.end = t
         elif kind == ev.COMPLETE:
-            span.completion = event.t
-            span.slowdown = data.get("slowdown")
-            span.preemptions = data.get("preemptions", span.preemptions)
-            if data.get("stolen"):
+            span.completion = t
+            span.slowdown, span.preemptions, stolen = event[4:]
+            if stolen:
                 span.stolen = True
             open_slice = span._open_slice()
             if open_slice is not None:
-                open_slice.end = event.t
+                open_slice.end = t
         elif kind == ev.DROP:
             span.dropped = True
     return list(spans.values())

@@ -47,6 +47,12 @@ class TestRuntimeConfig:
                 preemption_factory=lambda machine: PostedIPI(),
             )
 
+    def test_unknown_policy_fails_at_construction(self):
+        with pytest.raises(ValueError, match="'nope'.*fcfs, srpt"):
+            concord(5.0, policy="nope")
+        with pytest.raises(ValueError, match="fcfs, srpt"):
+            RuntimeConfig(name="bad").replace(policy="lifo")
+
     def test_replace_makes_modified_copy(self):
         config = shinjuku(5.0)
         other = config.replace(name="Shinjuku-2us", quantum_us=2.0)

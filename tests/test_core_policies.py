@@ -101,7 +101,7 @@ class TestSRPTPolicy:
 def test_make_policy():
     assert isinstance(make_policy("fcfs"), FCFSPolicy)
     assert isinstance(make_policy("srpt"), SRPTPolicy)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="fcfs, srpt"):
         make_policy("wfq")
 
 

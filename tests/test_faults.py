@@ -11,6 +11,7 @@ The load-bearing properties:
   goodput, blackouts degrade queue-aware routing without losing anything.
 """
 
+import gc
 import pickle
 
 import pytest
@@ -475,8 +476,13 @@ class TestFaultProbes:
         assert counters.get("faults.crashes") == 1
         assert counters.get("faults.recoveries") == 1
         assert counters.get("resilience.retries", 0) > 0
-        kinds = {e.kind for e in balancer_bus.events}
+        kinds = {event[1] for event in balancer_bus.events}
         assert {ev.CRASH, ev.RECOVER, ev.RETRY} <= kinds
+        gc.collect()
+        assert not any(
+            gc.is_tracked(event)
+            for bus in session.buses for event in bus.events
+        )
 
     def test_shed_events_emitted(self):
         from repro.obs import TraceConfig, tracing
@@ -492,4 +498,4 @@ class TestFaultProbes:
         )
         counters = balancer_bus.registry.snapshot()["counters"]
         assert counters.get("resilience.shed", 0) > 0
-        assert any(e.kind == ev.SHED for e in balancer_bus.events)
+        assert any(event[1] == ev.SHED for event in balancer_bus.events)

@@ -12,6 +12,7 @@ Covers the acceptance criteria of the observability PR:
 * runner job telemetry feeding the sweep summary footer.
 """
 
+import gc
 import io
 import json
 
@@ -20,14 +21,16 @@ import pytest
 from repro.core import concord
 from repro.hardware import c6420
 from repro.obs import (
+    FIELDS,
     FlightRecorder,
-    ProbeEvent,
     TelemetryRegistry,
     TraceConfig,
     TraceSession,
     active_session,
     build_spans,
     chrome_trace,
+    event_data,
+    event_dict,
     tail_report,
     tracing,
     validate_chrome_trace,
@@ -81,26 +84,41 @@ def result_fingerprint(result):
 
 
 class TestProbeEvent:
-    def test_key_equality_and_hash(self):
-        a = ProbeEvent(5, ev.START, rid=1, wid=2, data={"x": 1, "y": 2})
-        b = ProbeEvent(5, ev.START, rid=1, wid=2, data={"y": 2, "x": 1})
-        c = ProbeEvent(6, ev.START, rid=1, wid=2, data={"x": 1, "y": 2})
-        assert a == b
-        assert hash(a) == hash(b)
-        assert a != c
+    def test_records_compare_and_hash_by_value(self):
+        def event_log():
+            with tracing(TraceConfig()) as session:
+                run_server(num_requests=200)
+            return session.buses[0].events
 
-    def test_to_dict_omits_missing_fields(self):
-        event = ProbeEvent(3, ev.WORKER_IDLE, wid=0)
-        assert event.to_dict() == {"t": 3, "kind": "worker-idle", "wid": 0}
-        full = ProbeEvent(4, ev.ARRIVAL, rid=7,
-                          data={"request_kind": "short"})
-        assert full.to_dict() == {
+        first, second = event_log(), event_log()
+        assert first == second
+        assert set(first) == set(second)
+
+    def test_event_dict_omits_missing_fields(self):
+        event = (3, ev.WORKER_IDLE, None, 0)
+        assert event_dict(event) == {"t": 3, "kind": "worker-idle", "wid": 0}
+        full = (4, ev.ARRIVAL, 7, None, "short", 900)
+        assert event_dict(full) == {
             "t": 4, "kind": "arrival", "rid": 7, "request_kind": "short",
+            "service_cycles": 900,
+        }
+
+    def test_event_data_names_values_by_fields(self):
+        assert event_data((1, ev.ENQUEUE, 4, None)) is None
+        assert event_data((1, ev.ENQUEUE, 4, None, True)) == {"requeued": True}
+        assert event_data((2, ev.ACTION, None, None, "d-push", 10)) == {
+            "name": "d-push", "cost": 10,
+        }
+        assert event_data((3, ev.START, 4, 1, 3, False)) == {
+            "run_start": 3, "resumed": False,
         }
 
     def test_lifecycle_kinds_subset_of_all(self):
         assert set(ev.REQUEST_LIFECYCLE_KINDS) < set(ev.EVENT_KINDS)
         assert len(set(ev.EVENT_KINDS)) == len(ev.EVENT_KINDS)
+
+    def test_fields_name_every_kind(self):
+        assert list(FIELDS) == list(ev.EVENT_KINDS)
 
 
 # -- registry ----------------------------------------------------------------
@@ -143,33 +161,37 @@ class TestTelemetryRegistry:
 # -- flight recorder ---------------------------------------------------------
 
 
+def arrival(t, rid):
+    return (t, ev.ARRIVAL, rid, None, "short", 10)
+
+
 class TestFlightRecorder:
     def test_ring_is_bounded_and_ordered(self):
         recorder = FlightRecorder(capacity=3)
         for t in range(6):
-            recorder.record(ProbeEvent(t, ev.ACTION, data={"name": "e"}))
+            recorder.record((t, ev.ACTION, None, None, "e", 1))
         tail = recorder.tail()
-        assert [e.t for e in tail] == [3, 4, 5]
+        assert [e[0] for e in tail] == [3, 4, 5]
         assert len(recorder) == 3
         assert recorder.events_seen == 6
 
     def test_trigger_threshold(self):
         recorder = FlightRecorder(capacity=4, slowdown_trigger=10.0)
-        recorder.record(ProbeEvent(1, ev.ARRIVAL, rid=1))
+        recorder.record(arrival(1, rid=1))
         assert not recorder.maybe_trigger(5, 1, 9.99)
         assert recorder.maybe_trigger(5, 1, 10.0)
         assert recorder.triggers_fired == 1
         capture = recorder.captures[0]
         assert capture["rid"] == 1 and capture["slowdown"] == 10.0
-        assert [e.t for e in capture["events"]] == [1]
+        assert [e[0] for e in capture["events"]] == [1]
 
     def test_capture_is_a_snapshot(self):
         recorder = FlightRecorder(capacity=2, slowdown_trigger=1.0)
-        recorder.record(ProbeEvent(1, ev.ARRIVAL, rid=1))
+        recorder.record(arrival(1, rid=1))
         recorder.maybe_trigger(2, 1, 5.0)
-        recorder.record(ProbeEvent(3, ev.ARRIVAL, rid=2))
-        recorder.record(ProbeEvent(4, ev.ARRIVAL, rid=3))
-        assert [e.t for e in recorder.captures[0]["events"]] == [1]
+        recorder.record(arrival(3, rid=2))
+        recorder.record(arrival(4, rid=3))
+        assert [e[0] for e in recorder.captures[0]["events"]] == [1]
 
     def test_max_captures_bounds_memory_not_counting(self):
         recorder = FlightRecorder(capacity=2, slowdown_trigger=1.0,
@@ -221,6 +243,18 @@ class TestTraceSession:
         unclocked = session.make_bus("t")
         assert unclocked.sample_interval == 0
 
+    @pytest.mark.parametrize("field", [
+        "flight_capacity", "max_captures", "sample_interval_us",
+        "max_recorded_runs",
+    ])
+    def test_config_rejects_negative_bounds(self, field):
+        with pytest.raises(ValueError, match=field):
+            TraceConfig(**{field: -1})
+
+    def test_config_none_max_recorded_runs_is_unbounded(self):
+        session = TraceSession(TraceConfig(max_recorded_runs=None))
+        assert all(session.make_bus("b").record_events for _ in range(10))
+
     def test_tracing_installs_and_clears_ambient_session(self):
         assert active_session() is None
         with tracing() as session:
@@ -250,18 +284,14 @@ class TestTraceSession:
 def lifecycle_events():
     """rid=1: arrival -> queue -> run -> preempt -> requeue -> run -> done."""
     return [
-        ProbeEvent(10, ev.ARRIVAL, rid=1,
-                   data={"request_kind": "long", "service_cycles": 100}),
-        ProbeEvent(10, ev.ENQUEUE, rid=1),
-        ProbeEvent(12, ev.DISPATCH, rid=1, wid=0),
-        ProbeEvent(13, ev.START, rid=1, wid=0,
-                   data={"run_start": 13, "resumed": False}),
-        ProbeEvent(20, ev.PREEMPT, rid=1, wid=0, data={"preemptions": 1}),
-        ProbeEvent(20, ev.ENQUEUE, rid=1, data={"requeued": True}),
-        ProbeEvent(25, ev.START, rid=1, wid=2,
-                   data={"run_start": 25, "resumed": True}),
-        ProbeEvent(40, ev.COMPLETE, rid=1, wid=2,
-                   data={"slowdown": 3.0, "preemptions": 1, "stolen": False}),
+        (10, ev.ARRIVAL, 1, None, "long", 100),
+        (10, ev.ENQUEUE, 1, None),
+        (12, ev.DISPATCH, 1, 0),
+        (13, ev.START, 1, 0, 13, False),
+        (20, ev.PREEMPT, 1, 0, 1),
+        (20, ev.ENQUEUE, 1, None, True),
+        (25, ev.START, 1, 2, 25, True),
+        (40, ev.COMPLETE, 1, 2, 3.0, 1, False),
     ]
 
 
@@ -283,14 +313,10 @@ class TestBuildSpans:
 
     def test_steal_slices_attach_to_dispatcher(self):
         events = [
-            ProbeEvent(5, ev.STEAL, rid=9,
-                       data={"exec_start": 6, "completes": 30}),
-            ProbeEvent(15, ev.STEAL_PAUSE, rid=9),
-            ProbeEvent(20, ev.STEAL, rid=9,
-                       data={"exec_start": 20, "completes": 30}),
-            ProbeEvent(30, ev.COMPLETE, rid=9,
-                       data={"slowdown": 2.0, "preemptions": 0,
-                             "stolen": True}),
+            (5, ev.STEAL, 9, None, 6, 30),
+            (15, ev.STEAL_PAUSE, 9, None),
+            (20, ev.STEAL, 9, None, 20, 30),
+            (30, ev.COMPLETE, 9, None, 2.0, 0, True),
         ]
         (span,) = build_spans(events)
         assert span.stolen
@@ -302,8 +328,7 @@ class TestBuildSpans:
         # A flight-recorder ring that starts mid-life: no arrival, and the
         # final slice never closes.
         events = [
-            ProbeEvent(50, ev.START, rid=3, wid=1,
-                       data={"run_start": 50, "resumed": True}),
+            (50, ev.START, 3, 1, 50, True),
         ]
         (span,) = build_spans(events)
         assert span.arrival is None
@@ -314,22 +339,21 @@ class TestBuildSpans:
 
     def test_drop_marks_span(self):
         events = [
-            ProbeEvent(1, ev.ARRIVAL, rid=2,
-                       data={"request_kind": "short", "service_cycles": 10}),
-            ProbeEvent(99, ev.DROP, rid=2, data={"remaining_cycles": 4}),
+            (1, ev.ARRIVAL, 2, None, "short", 10),
+            (99, ev.DROP, 2, None, 4),
         ]
         (span,) = build_spans(events)
         assert span.dropped and span.completion is None
 
     def test_events_without_rid_are_skipped(self):
         events = [
-            ProbeEvent(1, ev.ACTION, data={"name": "d-push", "cost": 10}),
-            ProbeEvent(2, ev.WORKER_IDLE, wid=0),
+            (1, ev.ACTION, None, None, "d-push", 10),
+            (2, ev.WORKER_IDLE, None, 0),
         ]
         assert build_spans(events) == []
 
     def test_route_anchors_rack_spans(self):
-        events = [ProbeEvent(4, ev.ROUTE, rid=1, data={"server": 2})]
+        events = [(4, ev.ROUTE, 1, None, 2)]
         (span,) = build_spans(events)
         assert span.routed == 4 and span.start_cycle == 4
 
@@ -465,6 +489,33 @@ class TestInstrumentedRun:
         assert dropped > 0
         spans = build_spans(bus.events)
         assert sum(1 for s in spans if s.dropped) == dropped
+
+    def test_records_follow_fields_layout(self):
+        with tracing(TraceConfig.full()) as session:
+            run_server(num_requests=600)
+        (bus,) = session.buses
+        for event in bus.events:
+            kind = event[1]
+            values = FIELDS[kind]
+            if kind == ev.ENQUEUE and len(event) == 4:
+                values = ()  # a fresh push carries no values
+            assert len(event) == 4 + len(values), event
+
+    def test_records_leave_the_cyclic_gc(self):
+        # A tuple of atoms is untracked at its first young collection, so
+        # a long log costs full collections nothing.
+        with tracing(TraceConfig.full(slowdown_trigger=1.0)) as session:
+            run_server(num_requests=600)
+        gc.collect()
+        (bus,) = session.buses
+        captured = [
+            event
+            for capture in bus.recorder.captures
+            for event in capture["events"]
+        ]
+        assert bus.events and captured
+        tracked = [e for e in bus.events + captured if gc.is_tracked(e)]
+        assert tracked == []
 
     def test_flight_only_records_no_event_log(self):
         with tracing(TraceConfig.flight_only(slowdown_trigger=1.0)) as session:
