@@ -11,7 +11,7 @@ independent.
 """
 
 from repro import constants
-from repro.core.server import RunLimitExceeded, Server
+from repro.core.server import RunLimitExceeded, Server, SimResult, pooled
 from repro.cluster.balancer import LoadBalancer
 from repro.cluster.network import NetworkFabric
 from repro.cluster.policies import make_cluster_policy
@@ -158,32 +158,30 @@ class Cluster:
         )
 
 
-class ClusterResult:
-    """Rack-wide merged view over per-server SimResults.
+class ClusterResult(SimResult):
+    """Rack-wide :class:`~repro.core.server.SimResult` pooled over the
+    per-server results (so the paper's metrics and :mod:`repro.metrics`
+    work unchanged), plus rack-level introspection: routing counts,
+    imbalance, telemetry and the fault and resilience accounting.
 
-    Mirrors the read interface of :class:`~repro.core.server.SimResult`
-    (records, slowdowns, throughput) so :mod:`repro.metrics` works
-    unchanged, and adds rack-level introspection: per-server results,
-    routing counts, imbalance, and telemetry statistics.
+    Pooling per-request samples (rather than averaging per-server
+    percentiles) is what makes the rack-wide p99/p99.9 equal the value a
+    client-side observer of all replies would compute.
     """
 
     def __init__(self, cluster, server_results, drained):
         balancer = cluster.balancer
-        self.config_name = "{} x{} [{}]".format(
-            cluster.config.name, cluster.num_servers, cluster.policy.name
+        super().__init__(
+            config_name="{} x{} [{}]".format(
+                cluster.config.name, cluster.num_servers, cluster.policy.name
+            ),
+            num_offered=balancer.offered,
+            drained=drained,
+            **pooled(server_results),
         )
         self.policy_name = cluster.policy.name
         self.num_servers = cluster.num_servers
-        self.clock = cluster.machine.clock
         self.fabric = cluster.fabric
-        self.server_results = server_results
-        #: Completed requests rack-wide, in completion order.
-        self.records = [
-            record
-            for result in server_results
-            for record in result.records
-        ]
-        self.records.sort(key=lambda r: r.completion_cycle)
         #: Records dropped because a retry/hedge duplicate of the same
         #: logical request already completed earlier (first reply wins).
         self.duplicate_records = 0
@@ -197,24 +195,10 @@ class ClusterResult:
                 unique.append(record)
             self.duplicate_records = len(self.records) - len(unique)
             self.records = unique
-        self.num_offered = balancer.offered
-        self.drained = drained
-        arrivals = [
-            r.first_arrival_cycle for r in server_results if r.records
-        ]
-        self.first_arrival_cycle = min(arrivals) if arrivals else 0
-        self.end_cycle = max(r.end_cycle for r in server_results)
         #: Requests the balancer routed to each server.
         self.routed = list(balancer.routed)
         self.replies = balancer.replies
         self.telemetry_updates = balancer.board.updates
-        self.worker_stats = [
-            stat for result in server_results for stat in result.worker_stats
-        ]
-        self.dispatcher_stats = {
-            key: sum(r.dispatcher_stats[key] for r in server_results)
-            for key in server_results[0].dispatcher_stats
-        }
         # -- fault-injection / resilience accounting (None/zero when off) -----
         injector = balancer.injector
         manager = balancer.resilience
@@ -246,28 +230,10 @@ class ClusterResult:
             manager.e2e_latencies_us() if manager is not None else None
         )
 
-    # -- the paper's metrics, rack-wide ------------------------------------------
-
-    def measured_records(self, warmup_frac=0.1):
-        """Pooled records ordered by arrival, with the rack-wide warmup
-        prefix discarded (same convention as a single server)."""
-        check_warmup_frac(warmup_frac)
-        ordered = sorted(self.records, key=lambda r: r.arrival_cycle)
-        skip = int(len(ordered) * warmup_frac)
-        return ordered[skip:]
-
-    def slowdowns(self, warmup_frac=0.1):
-        """Per-request server-sojourn slowdowns pooled across the rack.
-
-        Pooling per-request samples (rather than averaging per-server
-        percentiles) is what makes the rack-wide p99/p99.9 equal the value
-        a client-side observer of all replies would compute.
-        """
-        return [r.slowdown() for r in self.measured_records(warmup_frac)]
-
-    def summary(self, warmup_frac=0.1):
-        """Rack-wide :class:`~repro.metrics.SlowdownSummary`."""
-        return summarize_slowdowns(self.slowdowns(warmup_frac))
+    @property
+    def server_results(self):
+        """The per-server results, in server order."""
+        return self.parts
 
     def client_latencies_us(self, warmup_frac=0.1):
         """End-to-end latency as a client outside the rack would measure:
@@ -282,12 +248,6 @@ class ClusterResult:
             )
             out.append(in_rack + hop_us)
         return out
-
-    def duration_cycles(self):
-        return max(1, self.end_cycle - self.first_arrival_cycle)
-
-    def throughput_rps(self):
-        return len(self.records) * self.clock.freq_hz / self.duration_cycles()
 
     def goodput(self):
         """Fraction of offered logical requests that completed (uniquely):
@@ -327,12 +287,3 @@ class ClusterResult:
             samples = result.slowdowns(warmup_frac)
             out.append(summarize_slowdowns(samples) if samples else None)
         return out
-
-    def __repr__(self):
-        return (
-            "ClusterResult(config={!r}, offered={}, completed={}, "
-            "drained={})".format(
-                self.config_name, self.num_offered, len(self.records),
-                self.drained,
-            )
-        )

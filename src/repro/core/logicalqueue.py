@@ -9,19 +9,17 @@ cache-line preemption signals.  Because no thread owns a global queue, the
 dispatcher bottleneck of the single-physical-queue design disappears, at
 the price of imperfect load balancing.
 
-The module reuses the same request/mechanism/metrics machinery as
-:mod:`repro.core.server`, and returns the same :class:`SimResult` shape so
-sweeps and experiments work unchanged.
+:class:`LogicalQueueServer` is a :class:`~repro.core.server.Server` with
+its own agents: arrivals, the run loop, costs and the
+:class:`~repro.core.server.SimResult` are the server's, so sweeps and
+experiments work unchanged.
 """
 
 import math
 from collections import deque
 
 from repro import constants
-from repro.core.preemption import NoPreemption
-from repro.core.request import Request
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngStreams
+from repro.core.server import Server
 
 __all__ = ["LogicalQueueServer", "logical_queue_concord"]
 
@@ -125,8 +123,8 @@ class _LqWorker:
         if self.idle_since is not None:
             self.idle_cycles += max(0, at - self.idle_since)
             self.idle_since = None
-        costs = self.server
-        switch = costs.context_switch
+        server = self.server
+        switch = server.costs.context_switch
         self.busy_cycles += switch + extra
         run_start = at + switch + extra
         self.epoch += 1
@@ -137,11 +135,11 @@ class _LqWorker:
             request.first_dispatch_cycle = at
         request.last_worker = self.wid
 
-        duration = int(math.ceil(request.remaining_cycles * costs.worker_rate))
+        duration = int(math.ceil(request.remaining_cycles * server.worker_rate))
         completion_at = run_start + duration
         self.sim.post_at(completion_at, self._on_complete, "lq-done", epoch)
 
-        quantum = costs.quantum_cycles
+        quantum = server.quantum_cycles
         if quantum is not None and completion_at > run_start + quantum:
             self.sim.post_at(
                 run_start + quantum, self._quantum_expired, "lq-quantum",
@@ -172,13 +170,15 @@ class _LqWorker:
             return
         now = self.sim.now
         request = self.current
-        executed = int((now - self.run_start) // self.server.worker_rate)
+        server = self.server
+        costs = server.costs
+        executed = int((now - self.run_start) // server.worker_rate)
         executed = max(0, min(executed, request.remaining_cycles - 1))
         request.remaining_cycles -= executed
         self.work_cycles += executed
         request.preemptions += 1
         self.preemptions_taken += 1
-        self.busy_cycles += (now - self.run_start) + self.server.disruption
+        self.busy_cycles += (now - self.run_start) + costs.disruption
         self.current = None
         self.epoch += 1
         self._yielding = True
@@ -186,7 +186,7 @@ class _LqWorker:
         # own queue tail (section 3.1's locality discussion).
         self.queue.append(request)
         self.sim.post(
-            self.server.disruption + self.server.context_switch,
+            costs.disruption + costs.context_switch,
             self._after_yield,
             "lq-yielded",
         )
@@ -204,16 +204,41 @@ class _LqWorker:
 
 class _Scheduler:
     """The dedicated scheduler hyperthread: a serial resource that turns
-    quantum expiries into cache-line writes (section 6)."""
+    quantum expiries into cache-line writes (section 6).
+
+    It sits in the server's dispatcher slot, so it is also where the NIC
+    delivers arrivals: :meth:`on_arrival` is the RSS spray.  It keeps the
+    dispatcher counters a :class:`~repro.core.server.SimResult` reads.
+    """
+
+    #: No thread here runs stolen work (idle workers steal instead).
+    steal_completions = 0
+    steal_busy_cycles = 0
 
     def __init__(self, sim, server):
         self.sim = sim
         self.server = server
+        self.workers = server.workers
+        self.rng_spray = server.streams.stream("spray")
         self.pending = deque()
         self._in_action = False
         self.busy_cycles = 0
         self.signals_sent = 0
-        self.stale_skipped = 0
+        self.stale_signals_skipped = 0
+
+    @property
+    def actions_run(self):
+        """Every action is one quantum check that sends a signal."""
+        return self.signals_sent
+
+    @property
+    def steals_started(self):
+        return sum(worker.steals for worker in self.workers)
+
+    def on_arrival(self, request):
+        """RSS-style spraying: a uniform choice over workers."""
+        workers = self.workers
+        workers[self.rng_spray.randrange(len(workers))].enqueue(request)
 
     def enqueue_check(self, worker, epoch):
         self.pending.append((worker, epoch))
@@ -226,9 +251,9 @@ class _Scheduler:
             entry = self.pending.popleft()
             worker, epoch = entry
             if worker.epoch != epoch or worker.current is None:
-                self.stale_skipped += 1
+                self.stale_signals_skipped += 1
                 continue
-            cost = SCHEDULER_CHECK_CYCLES + self.server.signal_cost
+            cost = SCHEDULER_CHECK_CYCLES + self.server.costs.signal
             self._in_action = True
             self.busy_cycles += cost
             self.signals_sent += 1
@@ -252,165 +277,20 @@ class _Scheduler:
         self._kick()
 
 
-class LogicalQueueServer:
+class LogicalQueueServer(Server):
     """Single-logical-queue server: spray + steal + scheduler hyperthread.
 
-    API-compatible with :class:`repro.core.server.Server` for ``run`` and
-    the result object.
+    There is no central :class:`~repro.core.dispatcher.Dispatcher`: the
+    scheduler hyperthread takes the dispatcher slot (``dispatcher is
+    scheduler``).
     """
 
-    def __init__(self, machine, config, seed=0, profile=None):
-        self.machine = machine
-        self.config = config
-        self.clock = machine.clock
-        self.sim = Simulator()
-        streams = RngStreams(seed)
-        self.rng_arrival = streams.stream("arrivals")
-        self.rng_service = streams.stream("service")
-        self.rng_notice = streams.stream("notice")
-        self.rng_defer = streams.stream("defer")
-        self.rng_spray = streams.stream("spray")
-
-        if config.preemptive:
-            self.mechanism = config.preemption_factory(machine)
-        else:
-            self.mechanism = NoPreemption()
-        if profile is not None:
-            self.mechanism.attach_profile(profile)
-
-        self.worker_rate = (
-            1.0
-            + constants.RUNTIME_PROC_OVERHEAD_FRACTION
-            + self.mechanism.proc_overhead
-        )
-        self.quantum_cycles = (
-            self.clock.us_to_cycles(config.quantum_us)
-            if config.preemptive else None
-        )
-        self.context_switch = self.mechanism.context_switch_cycles
-        self.disruption = self.mechanism.worker_disruption_cycles
-        self.signal_cost = self.mechanism.dispatcher_signal_cycles
-
+    def _build_agents(self):
+        # The agents have no probe sites (and the bus sampler reads a
+        # Worker's ``outstanding``), so the runtime stays untraced.
+        self.probes = None
         self.workers = [
             _LqWorker(self.sim, wid, self)
-            for wid in range(machine.num_workers)
+            for wid in range(self.machine.num_workers)
         ]
-        self.scheduler = _Scheduler(self.sim, self)
-        self.completed = []
-        self._ran = False
-        self._spray_next = 0
-
-    # shared hooks (same names the figure code uses) -------------------------------
-
-    def defer_cycles(self, kind, elapsed_cycles=0):
-        return self.config.safety.defer_cycles(
-            kind, self.clock, self.rng_defer, elapsed_cycles
-        )
-
-    def record_completion(self, request):
-        self.completed.append(request)
-
-    @property
-    def dispatcher(self):
-        raise AttributeError(
-            "LogicalQueueServer has no dispatcher; that is the point"
-        )
-
-    def run(self, workload, arrival, num_requests, until_us=None,
-            max_events=60_000_000):
-        if self._ran:
-            raise RuntimeError("single-shot server; build a new one")
-        self._ran = True
-        if num_requests < 1:
-            raise ValueError("need at least one request")
-        self._workload = workload
-        self._arrival = arrival
-        self._num_requests = num_requests
-        state = self._state = {
-            "count": 0, "t_us": 0.0, "first": None, "last": None,
-        }
-        self._schedule_arrival()
-        until = self.clock.us_to_cycles(until_us) if until_us is not None else None
-        self.sim.run(until=until, max_events=max_events)
-        return _LqResult(self, state, until)
-
-    def _schedule_arrival(self):
-        state = self._state
-        state["t_us"] += self._arrival.next_gap_us(self.rng_arrival)
-        cycle = self.clock.us_to_cycles(state["t_us"])
-        self.sim.post_at(
-            max(cycle, self.sim.now), self._fire_arrival, "lq-arrival"
-        )
-
-    def _fire_arrival(self):
-        state = self._state
-        cycle = self.sim.now
-        if state["first"] is None:
-            state["first"] = cycle
-        state["last"] = cycle
-        kind, service_us = self._workload.sample_class(self.rng_service)
-        request = Request(
-            rid=state["count"],
-            kind=kind,
-            arrival_cycle=cycle,
-            service_cycles=max(1, self.clock.us_to_cycles(service_us)),
-            service_us=service_us,
-        )
-        state["count"] += 1
-        # RSS-style spraying: uniform choice over workers.
-        target = self.workers[self.rng_spray.randrange(len(self.workers))]
-        target.enqueue(request)
-        if state["count"] < self._num_requests:
-            self._schedule_arrival()
-
-
-class _LqResult:
-    """SimResult-shaped result for the logical-queue runtime."""
-
-    def __init__(self, server, state, until):
-        from repro.core.server import SimResult
-
-        self.config_name = server.config.name
-        self.clock = server.clock
-        self.records = server.completed
-        self.num_offered = state["count"]
-        self.first_arrival_cycle = state["first"] or 0
-        self.last_arrival_cycle = state["last"] or 0
-        self.end_cycle = server.sim.now
-        self.drained = len(self.records) == state["count"]
-        self.worker_stats = [
-            {
-                "wid": w.wid,
-                "idle_cycles": w.idle_cycles,
-                "busy_cycles": w.busy_cycles,
-                "work_cycles": w.work_cycles,
-                "preemptions": w.preemptions_taken,
-                "completed": w.requests_completed,
-                "steals": w.steals,
-            }
-            for w in server.workers
-        ]
-        self.dispatcher_stats = {
-            "busy_cycles": server.scheduler.busy_cycles,
-            "actions": server.scheduler.signals_sent,
-            "signals_sent": server.scheduler.signals_sent,
-            "stale_signals_skipped": server.scheduler.stale_skipped,
-            "steals_started": sum(w.steals for w in server.workers),
-            "steal_completions": 0,
-            "steal_busy_cycles": 0,
-        }
-        # Reuse SimResult's derived-metric implementations.
-        self.slowdowns = SimResult.slowdowns.__get__(self)
-        self.measured_records = SimResult.measured_records.__get__(self)
-        self.duration_cycles = SimResult.duration_cycles.__get__(self)
-        self.throughput_rps = SimResult.throughput_rps.__get__(self)
-        self.worker_idle_fraction = SimResult.worker_idle_fraction.__get__(self)
-        self.goodput_fraction = SimResult.goodput_fraction.__get__(self)
-
-    def dispatcher_utilization(self):
-        return min(
-            1.0, self.dispatcher_stats["busy_cycles"] / self.duration_cycles()
-        )
-
-    def stolen_requests(self):
-        return []
+        self.dispatcher = self.scheduler = _Scheduler(self.sim, self)

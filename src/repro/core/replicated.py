@@ -13,7 +13,7 @@ full :class:`~repro.core.server.Server`, so every mechanism — JBSQ, safety,
 work stealing — works unchanged inside its partition.
 """
 
-from repro.core.server import Server
+from repro.core.server import Server, SimResult, pooled
 from repro.workloads.trace import Trace
 
 __all__ = ["ReplicatedServer", "ReplicatedResult"]
@@ -50,6 +50,8 @@ class ReplicatedServer:
         replay each partition, and merge."""
         if self._ran:
             raise RuntimeError("single-shot server; build a new one")
+        if num_requests < 1:
+            raise ValueError("need at least one request")
         self._ran = True
         rng = self.partitions[0].rng_arrival
         trace = Trace.sample(workload, arrival, num_requests, rng)
@@ -68,60 +70,16 @@ class ReplicatedServer:
         return ReplicatedResult(self, results)
 
 
-class ReplicatedResult:
-    """Merged view over per-partition SimResults (same read interface)."""
+class ReplicatedResult(SimResult):
+    """The partitions' results pooled into one :class:`SimResult`; the
+    parts stay on ``parts``."""
 
     def __init__(self, server, results):
-        self.config_name = "{} x{}".format(
-            server.config.name, server.num_partitions
+        super().__init__(
+            config_name="{} x{}".format(
+                server.config.name, server.num_partitions
+            ),
+            num_offered=sum(r.num_offered for r in results),
+            drained=all(r.drained for r in results),
+            **pooled(results),
         )
-        self.partition_results = results
-        self.clock = server.machine.clock
-        self.records = [r for result in results for r in result.records]
-        self.records.sort(key=lambda r: r.completion_cycle)
-        self.num_offered = sum(r.num_offered for r in results)
-        self.first_arrival_cycle = min(
-            r.first_arrival_cycle for r in results
-        )
-        self.end_cycle = max(r.end_cycle for r in results)
-        self.drained = all(r.drained for r in results)
-        self.worker_stats = [
-            stat for result in results for stat in result.worker_stats
-        ]
-        self.dispatcher_stats = {
-            key: sum(r.dispatcher_stats[key] for r in results)
-            for key in results[0].dispatcher_stats
-        }
-
-    def slowdowns(self, warmup_frac=0.1):
-        ordered = sorted(self.records, key=lambda r: r.arrival_cycle)
-        skip = int(len(ordered) * warmup_frac)
-        return [r.slowdown() for r in ordered[skip:]]
-
-    def measured_records(self, warmup_frac=0.1):
-        ordered = sorted(self.records, key=lambda r: r.arrival_cycle)
-        skip = int(len(ordered) * warmup_frac)
-        return ordered[skip:]
-
-    def duration_cycles(self):
-        return max(1, self.end_cycle - self.first_arrival_cycle)
-
-    def throughput_rps(self):
-        return len(self.records) * self.clock.freq_hz / self.duration_cycles()
-
-    def dispatcher_utilization(self):
-        """Mean utilization across the replica dispatchers."""
-        total = sum(
-            r.dispatcher_utilization() for r in self.partition_results
-        )
-        return total / len(self.partition_results)
-
-    def worker_idle_fraction(self):
-        elapsed = self.duration_cycles()
-        fractions = [
-            min(1.0, s["idle_cycles"] / elapsed) for s in self.worker_stats
-        ]
-        return sum(fractions) / len(fractions)
-
-    def stolen_requests(self):
-        return [r for r in self.records if r.started_by_dispatcher]

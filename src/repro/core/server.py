@@ -11,6 +11,12 @@ accepts any lazily-pulled iterator of ``(arrival_us, request)`` pairs.
 External agents (the rack-scale layer in :mod:`repro.cluster`) bypass the
 source machinery entirely and push requests in with :meth:`Server.deliver`,
 sharing one :class:`~repro.sim.engine.Simulator` across many servers.
+
+Every runtime shares this shell.  Runtimes differ only in
+:meth:`Server._build_agents`: the logical-queue runtime
+(:mod:`repro.core.logicalqueue`) overrides it, and replication
+(:mod:`repro.core.replicated`) runs one server per partition and pools
+their results with :func:`pooled`.
 """
 
 from repro import constants
@@ -23,7 +29,7 @@ from repro.obs.session import resolve_probes
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 
-__all__ = ["Server", "SimResult", "RunLimitExceeded"]
+__all__ = ["Server", "SimResult", "RunLimitExceeded", "pooled"]
 
 
 class RunLimitExceeded(RuntimeError):
@@ -72,41 +78,32 @@ class _Costs:
 
 
 class SimResult:
-    """Everything measured during one simulated run."""
+    """Everything measured during one simulated run.
 
-    def __init__(self, server, num_offered, first_arrival, last_arrival,
-                 end_cycle, drained):
-        self.config_name = server.config.name
-        self.quantum_us = server.config.quantum_us
-        self.clock = server.clock
+    A result holds data, not the server that produced it:
+    :meth:`Server.collect_result` builds one per run.  Runtimes that run
+    several servers (replicated partitions, rack members) subclass it and
+    pass :func:`pooled` fields of their part results, so every paper
+    metric below is computed here and nowhere else.
+    """
+
+    def __init__(self, config_name, quantum_us, clock, records, worker_stats,
+                 dispatcher_stats, num_offered, first_arrival, last_arrival,
+                 end_cycle, drained, parts=()):
+        self.config_name = config_name
+        self.quantum_us = quantum_us
+        self.clock = clock
         self.num_offered = num_offered
         self.first_arrival_cycle = first_arrival
         self.last_arrival_cycle = last_arrival
         self.end_cycle = end_cycle
         self.drained = drained
         #: Completed requests, in completion order.
-        self.records = server.completed
-        self.worker_stats = [
-            {
-                "wid": w.wid,
-                "idle_cycles": w.idle_cycles,
-                "busy_cycles": w.busy_cycles,
-                "work_cycles": w.work_cycles,
-                "preemptions": w.preemptions_taken,
-                "completed": w.requests_completed,
-            }
-            for w in server.workers
-        ]
-        d = server.dispatcher
-        self.dispatcher_stats = {
-            "busy_cycles": d.busy_cycles,
-            "actions": d.actions_run,
-            "signals_sent": d.signals_sent,
-            "stale_signals_skipped": d.stale_signals_skipped,
-            "steals_started": d.steals_started,
-            "steal_completions": d.steal_completions,
-            "steal_busy_cycles": d.steal_busy_cycles,
-        }
+        self.records = records
+        self.worker_stats = worker_stats
+        self.dispatcher_stats = dispatcher_stats
+        #: The part results a pooled result merges; empty for one server.
+        self.parts = list(parts)
 
     # -- derived metrics ------------------------------------------------------------
 
@@ -165,17 +162,52 @@ class SimResult:
         return sum(fractions) / len(fractions)
 
     def dispatcher_utilization(self):
+        """Fraction of the run the dispatcher was busy; for a pooled result,
+        the mean over its parts' dispatchers."""
+        if self.parts:
+            total = sum(part.dispatcher_utilization() for part in self.parts)
+            return total / len(self.parts)
         return min(1.0, self.dispatcher_stats["busy_cycles"] / self.duration_cycles())
 
     def stolen_requests(self):
         return [r for r in self.records if r.started_by_dispatcher]
 
+    def summary(self, warmup_frac=0.1):
+        """The :class:`~repro.metrics.SlowdownSummary` of :meth:`slowdowns`."""
+        from repro.metrics.slowdown import summarize_slowdowns
+
+        return summarize_slowdowns(self.slowdowns(warmup_frac))
+
     def __repr__(self):
-        return (
-            "SimResult(config={!r}, offered={}, completed={}, drained={})".format(
-                self.config_name, self.num_offered, len(self.records), self.drained
-            )
+        return "{}(config={!r}, offered={}, completed={}, drained={})".format(
+            type(self).__name__, self.config_name, self.num_offered,
+            len(self.records), self.drained,
         )
+
+
+def pooled(parts):
+    """:class:`SimResult` fields merged over ``parts`` (a non-empty list of
+    part results): records in completion order, worker stats concatenated,
+    dispatcher stats summed, the first arrival over the parts that
+    completed anything and the latest end.  A pooled subclass adds its own
+    name, offered count and drain flag."""
+    records = [record for part in parts for record in part.records]
+    records.sort(key=lambda r: r.completion_cycle)
+    firsts = [part.first_arrival_cycle for part in parts if part.records]
+    return dict(
+        quantum_us=parts[0].quantum_us,
+        clock=parts[0].clock,
+        records=records,
+        worker_stats=[stat for part in parts for stat in part.worker_stats],
+        dispatcher_stats={
+            key: sum(part.dispatcher_stats[key] for part in parts)
+            for key in parts[0].dispatcher_stats
+        },
+        first_arrival=min(firsts) if firsts else 0,
+        last_arrival=max(part.last_arrival_cycle for part in parts),
+        end_cycle=max(part.end_cycle for part in parts),
+        parts=parts,
+    )
 
 
 class Server:
@@ -256,14 +288,20 @@ class Server:
         self._last_arrival = None
         #: The arrival iterator :meth:`run_source` pulls from.
         self._source = None
+        self._build_agents()
+
+    def _build_agents(self):
+        """Build ``probes``, ``workers`` and ``dispatcher``, in that order
+        (the agents hoist ``probes``).  The one step where runtimes differ:
+        a subclass swaps in its own agents and keeps the run shell."""
         #: Probe bus (observability layer), supplied by an ambient
         #: :func:`repro.obs.session.tracing` session; the default None
         #: keeps every probe site down to a single falsy check (the
         #: zero-overhead path).
         self.probes = resolve_probes(self)
-        # The agents hoist ``probes``, so they are built after it.
         self.workers = [
-            Worker(self.sim, wid, self) for wid in range(machine.num_workers)
+            Worker(self.sim, wid, self)
+            for wid in range(self.machine.num_workers)
         ]
         self.dispatcher = Dispatcher(self.sim, self)
 
@@ -469,8 +507,32 @@ class Server:
             drained = len(self.completed) == self._arrival_count
         if self.probes is not None:
             self.probes.finalize_run(self.sim.now)
+        d = self.dispatcher
         return SimResult(
-            server=self,
+            config_name=self.config.name,
+            quantum_us=self.config.quantum_us,
+            clock=self.clock,
+            records=self.completed,
+            worker_stats=[
+                {
+                    "wid": w.wid,
+                    "idle_cycles": w.idle_cycles,
+                    "busy_cycles": w.busy_cycles,
+                    "work_cycles": w.work_cycles,
+                    "preemptions": w.preemptions_taken,
+                    "completed": w.requests_completed,
+                }
+                for w in self.workers
+            ],
+            dispatcher_stats={
+                "busy_cycles": d.busy_cycles,
+                "actions": d.actions_run,
+                "signals_sent": d.signals_sent,
+                "stale_signals_skipped": d.stale_signals_skipped,
+                "steals_started": d.steals_started,
+                "steal_completions": d.steal_completions,
+                "steal_busy_cycles": d.steal_busy_cycles,
+            },
             num_offered=num_offered,
             first_arrival=self._first_arrival or 0,
             last_arrival=self._last_arrival or 0,
@@ -499,12 +561,3 @@ class Server:
                     )
                 )
         return self.collect_result(drained=drained)
-
-
-def capacity_estimate_rps(machine, workload, overhead_fraction=0.05):
-    """Back-of-envelope maximum throughput: worker cycles divided by mean
-    per-request work, derated by ``overhead_fraction``.  Used by experiments
-    to place load-sweep grids."""
-    mean_cycles = machine.clock.us_to_cycles(workload.mean_us())
-    raw = machine.num_workers * machine.clock.freq_hz / max(1, mean_cycles)
-    return raw * (1.0 - overhead_fraction)

@@ -11,6 +11,11 @@ Between them the cases cover JBSQ placement (plain, locality-aware and
 SRPT's peek), dispatcher work stealing, the single queue's flag poll,
 dispatcher-signalled preemption (cache-line writes and IPIs),
 self-preemption (rdtsc probes) and the zero-overhead ideal queue.
+
+The section-6 runtimes are pinned the same way: the single logical queue
+(spray, steal, scheduler hyperthread) on a dispersive and on a
+dispatcher-bound workload, and two replicated single-dispatcher
+partitions.
 """
 
 import functools
@@ -19,7 +24,14 @@ import json
 
 import pytest
 
-from repro.core import Server, concord, shinjuku
+from repro.core import (
+    LogicalQueueServer,
+    ReplicatedServer,
+    Server,
+    concord,
+    logical_queue_concord,
+    shinjuku,
+)
 from repro.core.presets import (
     concord_no_steal,
     ideal_single_queue,
@@ -27,7 +39,7 @@ from repro.core.presets import (
     uipi_single_queue,
 )
 from repro.hardware import c6420
-from repro.workloads import PoissonProcess, bimodal_50_1_50_100
+from repro.workloads import PoissonProcess, bimodal_50_1_50_100, fixed_1us
 
 WORKERS = 8
 LOAD = 0.85
@@ -130,3 +142,89 @@ def test_cases_cover_the_hot_path_branches():
     rdtsc = stats["rdtsc-sq"]
     assert rdtsc["dispatcher_stats"]["signals_sent"] == 0
     assert sum(w["preemptions"] for w in rdtsc["worker_stats"]) > 0
+
+
+#: The ``worker_stats`` keys every runtime reports.
+WORKER_KEYS = (
+    "wid", "idle_cycles", "busy_cycles", "work_cycles", "preemptions",
+    "completed",
+)
+
+
+def _lq_bimodal():
+    workload = bimodal_50_1_50_100()
+    rate = LOAD * WORKERS * 1e6 / workload.mean_us()
+    server = LogicalQueueServer(
+        c6420(WORKERS), logical_queue_concord(5.0), seed=SEED
+    )
+    result = server.run(workload, PoissonProcess(rate), REQUESTS)
+    return result, server.sim.events_run
+
+
+def _lq_fixed():
+    server = LogicalQueueServer(
+        c6420(14), logical_queue_concord(5.0), seed=SEED
+    )
+    result = server.run(fixed_1us(), PoissonProcess(5e6), REQUESTS)
+    return result, server.sim.events_run
+
+
+def _replicated_fixed():
+    server = ReplicatedServer(
+        c6420(14), concord(5.0), num_partitions=2, seed=SEED
+    )
+    result = server.run(fixed_1us(), PoissonProcess(5e6), REQUESTS)
+    return result, sum(p.sim.events_run for p in server.partitions)
+
+
+RUNTIMES = {
+    "lq-bimodal": _lq_bimodal,
+    "lq-fixed": _lq_fixed,
+    "replicated-fixed": _replicated_fixed,
+}
+
+RUNTIME_DIGESTS = {
+    "lq-bimodal": (
+        "2979864972e2c1225e843afac3b80ffbe3df21dd7442146c2a353677f3485e23"
+    ),
+    "lq-fixed": (
+        "7906d35f65cd9c36ebcc791068089cecee83a8be95d307f3fa29c430f55e5beb"
+    ),
+    "replicated-fixed": (
+        "e188619a9c4c2c1f890d111248455a79ac09720de7bffd3ac60e15f00263987e"
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def runtime_fingerprint(name):
+    result, events_run = RUNTIMES[name]()
+    records = [
+        (
+            r.rid, r.kind, r.arrival_cycle, r.service_cycles,
+            r.first_dispatch_cycle, r.completion_cycle, r.preemptions,
+            r.migrations, r.started_by_dispatcher, r.last_worker,
+        )
+        for r in result.records
+    ]
+    return {
+        "records": records,
+        "worker_stats": [
+            {key: stat[key] for key in WORKER_KEYS}
+            for stat in result.worker_stats
+        ],
+        "dispatcher_stats": result.dispatcher_stats,
+        "events_run": events_run,
+        "num_offered": result.num_offered,
+        "first_arrival_cycle": result.first_arrival_cycle,
+        "end_cycle": result.end_cycle,
+        "drained": result.drained,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(RUNTIMES))
+def test_section6_runtime_digest(name):
+    material = runtime_fingerprint(name)
+    assert material["drained"]
+    assert len(material["records"]) == REQUESTS
+    assert digest(material) == RUNTIME_DIGESTS[name]

@@ -3,6 +3,7 @@ runtime and multi-dispatcher replication."""
 
 import pytest
 
+from repro.cluster import Cluster
 from repro.core import (
     LogicalQueueServer,
     ReplicatedServer,
@@ -11,8 +12,11 @@ from repro.core import (
     logical_queue_concord,
     persephone_fcfs,
 )
+from repro.core.dispatcher import Dispatcher
+from repro.core.server import RunLimitExceeded
 from repro.hardware import c6420
 from repro.metrics import summarize_slowdowns
+from repro.obs import tracing
 from repro.workloads import PoissonProcess
 from repro.workloads.named import bimodal_50_1_50_100, fixed_1us
 
@@ -29,12 +33,40 @@ class TestLogicalQueue:
         assert all(r.remaining_cycles == 0 for r in result.records)
         assert all(r.slowdown() >= 1.0 for r in result.records)
 
-    def test_no_dispatcher_attribute(self):
+    def test_no_central_dispatcher(self):
+        # The scheduler hyperthread takes the dispatcher slot; no
+        # single-queue Dispatcher is ever built.
         server = LogicalQueueServer(
             c6420(2), logical_queue_concord(5.0), seed=1
         )
-        with pytest.raises(AttributeError):
-            server.dispatcher
+        assert server.dispatcher is server.scheduler
+        assert not isinstance(server.dispatcher, Dispatcher)
+        assert not any(
+            isinstance(value, Dispatcher) for value in vars(server).values()
+        )
+
+    def test_truncated_run_is_not_drained(self):
+        # 500 events cannot drain 1000 requests: like every Server, the
+        # logical queue must say so rather than report a partial run as
+        # drained.
+        server = LogicalQueueServer(
+            c6420(2), logical_queue_concord(5.0), seed=1
+        )
+        with pytest.raises(RunLimitExceeded):
+            server.run(fixed_1us(), PoissonProcess(1e5), 1000,
+                       max_events=500)
+
+    def test_untraced_inside_a_trace_session(self):
+        # The logical queue's agents have no probe sites, so a trace
+        # session must not mint a bus for it.
+        with tracing() as session:
+            server = LogicalQueueServer(
+                c6420(2), logical_queue_concord(5.0), seed=1
+            )
+            result = server.run(fixed_1us(), PoissonProcess(1e5), 200)
+        assert result.drained
+        assert server.probes is None
+        assert session.buses == []
 
     def test_sustains_load_beyond_dispatcher_ceiling(self):
         # One dispatcher tops out ~4.3 MRps on Fixed(1us); no-dispatcher
@@ -98,6 +130,11 @@ class TestReplication:
         with pytest.raises(ValueError):
             ReplicatedServer(c6420(14), concord(5.0), num_partitions=0)
 
+    def test_rejects_zero_requests(self):
+        server = ReplicatedServer(c6420(4), concord(5.0), num_partitions=2)
+        with pytest.raises(ValueError, match="at least one request"):
+            server.run(fixed_1us(), PoissonProcess(100_000), 0)
+
     def test_all_requests_complete_once(self):
         server = ReplicatedServer(c6420(4), persephone_fcfs(),
                                   num_partitions=2, seed=1)
@@ -150,3 +187,41 @@ class TestReplication:
         server.run(fixed_1us(), PoissonProcess(10_000), 100)
         with pytest.raises(RuntimeError):
             server.run(fixed_1us(), PoissonProcess(10_000), 100)
+
+
+def _server_result():
+    return Server(c6420(2), concord(5.0), seed=1).run(
+        fixed_1us(), PoissonProcess(100_000), 200
+    )
+
+
+def _logical_queue_result():
+    return LogicalQueueServer(
+        c6420(2), logical_queue_concord(5.0), seed=1
+    ).run(fixed_1us(), PoissonProcess(100_000), 200)
+
+
+def _replicated_result():
+    return ReplicatedServer(
+        c6420(4), concord(5.0), num_partitions=2, seed=1
+    ).run(fixed_1us(), PoissonProcess(100_000), 200)
+
+
+def _cluster_result():
+    return Cluster(c6420(2), concord(5.0), num_servers=2, seed=1).run(
+        fixed_1us(), PoissonProcess(100_000), 200
+    )
+
+
+@pytest.mark.parametrize(
+    "run", [_server_result, _logical_queue_result, _replicated_result,
+            _cluster_result],
+    ids=["server", "logical-queue", "replicated", "cluster"],
+)
+@pytest.mark.parametrize("warmup_frac", [-0.1, 1.0, 1.5])
+def test_every_result_rejects_bad_warmup(run, warmup_frac):
+    result = run()
+    with pytest.raises(ValueError):
+        result.slowdowns(warmup_frac)
+    with pytest.raises(ValueError):
+        result.measured_records(warmup_frac)
