@@ -1,9 +1,10 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the paper-shape suite.
 
 Each ``test_bench_*`` file regenerates one of the paper's tables/figures
-through pytest-benchmark.  Benchmarks run at "smoke" quality so the whole
-suite stays interactive; use the ``concord-repro`` CLI with
-``--quality full`` for the numbers recorded in EXPERIMENTS.md.
+and asserts its qualitative shape.  They run at "smoke" quality so the
+whole suite stays interactive; use the ``concord-repro`` CLI with
+``--quality full`` for the numbers recorded in EXPERIMENTS.md.  Wall time
+is measured by ``bench/``, not here.
 """
 
 import pytest
@@ -16,17 +17,10 @@ def quality():
     return "smoke"
 
 
-def run_once(benchmark, experiment_id, quality):
-    """Benchmark one experiment with a single round: the experiments are
-    deterministic simulations, so repeated rounds only repeat identical
-    work."""
-    return benchmark.pedantic(
-        run_experiment,
-        args=(experiment_id,),
-        kwargs={"quality": quality},
-        rounds=1,
-        iterations=1,
-    )
+def run_once(experiment_id, quality):
+    """Run one experiment once: the experiments are deterministic
+    simulations, so a second run would only repeat identical work."""
+    return run_experiment(experiment_id, quality=quality)
 
 
 def assert_summary(results, key_substring):

@@ -3,8 +3,8 @@
 from conftest import run_once
 
 
-def test_ext_jbsq(benchmark, quality):
-    results = run_once(benchmark, "ext-jbsq", quality)
+def test_ext_jbsq(quality):
+    results = run_once("ext-jbsq", quality)
     summary = results[0].summary
     # k=2 removes nearly all handoff idle time vs k=1 (section 3.2).
     assert summary["idle_reduction_k1_to_k2_pct"] > 2
@@ -12,15 +12,15 @@ def test_ext_jbsq(benchmark, quality):
     assert summary["tail_penalty_k6_vs_k2"] > -1
 
 
-def test_ext_policies(benchmark, quality):
-    results = run_once(benchmark, "ext-policies", quality)
+def test_ext_policies(quality):
+    results = run_once("ext-policies", quality)
     summary = results[0].summary
     # SRPT serves the short class at least as well as FCFS+PS.
     assert summary["short_p999_srpt"] <= 1.1 * summary["short_p999_fcfs"]
 
 
-def test_ext_safety(benchmark, quality):
-    results = run_once(benchmark, "ext-safety", quality)
+def test_ext_safety(quality):
+    results = run_once("ext-safety", quality)
     summary = results[0].summary
     # API-window preemption disabling cripples Shinjuku on the 100us-GET
     # microbenchmark; Concord's lock counter keeps preemption timely.
@@ -29,8 +29,8 @@ def test_ext_safety(benchmark, quality):
     )
 
 
-def test_ext_scaling(benchmark, quality):
-    results = run_once(benchmark, "ext-scaling", quality)
+def test_ext_scaling(quality):
+    results = run_once("ext-scaling", quality)
     fixed, dispersion = results
     # Both section-6 designs push past the single dispatcher's ceiling.
     single = fixed.summary["single_dispatcher_sustained_mrps"]

@@ -3,8 +3,8 @@
 from conftest import run_once
 
 
-def test_fig10(benchmark, quality):
-    results = run_once(benchmark, "fig10", quality)
+def test_fig10(quality):
+    results = run_once("fig10", quality)
     result = results[0]
     concord = result.summary["knee_krps[Concord]"]
     shinjuku = result.summary["knee_krps[Shinjuku]"]

@@ -3,8 +3,8 @@
 from conftest import run_once
 
 
-def test_fig11(benchmark, quality):
-    results = run_once(benchmark, "fig11", quality)
+def test_fig11(quality):
+    results = run_once("fig11", quality)
     summary = results[0].summary
     shinjuku = summary["knee_krps[Shinjuku: IPIs+SQ]"]
     coop_sq = summary["knee_krps[Co-op+SQ]"]

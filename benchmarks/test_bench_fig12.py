@@ -3,8 +3,8 @@
 from conftest import run_once
 
 
-def test_fig12(benchmark, quality):
-    results = run_once(benchmark, "fig12", quality)
+def test_fig12(quality):
+    results = run_once("fig12", quality)
     result = results[0]
     # Cumulative mechanisms cut overhead at every microsecond-scale quantum.
     for row in result.rows:

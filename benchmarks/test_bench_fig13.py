@@ -3,8 +3,8 @@
 from conftest import run_once
 
 
-def test_fig13(benchmark, quality):
-    results = run_once(benchmark, "fig13", quality)
+def test_fig13(quality):
+    results = run_once("fig13", quality)
     summary = results[0].summary
     gain = summary["Concord_vs_Concord w/o dispatcher work_improvement_pct"]
     # Paper: ~33% more throughput from running app logic on the dispatcher.

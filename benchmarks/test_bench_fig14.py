@@ -3,8 +3,8 @@
 from conftest import run_once
 
 
-def test_fig14(benchmark, quality):
-    results = run_once(benchmark, "fig14", quality)
+def test_fig14(quality):
+    results = run_once("fig14", quality)
     result = results[0]
     # Bursty low load makes the dispatcher steal occasionally...
     assert result.summary["total_steals"] > 0

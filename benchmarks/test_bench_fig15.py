@@ -3,8 +3,8 @@
 from conftest import run_once
 
 
-def test_fig15(benchmark, quality):
-    results = run_once(benchmark, "fig15", quality)
+def test_fig15(quality):
+    results = run_once("fig15", quality)
     result = results[0]
     ratio = result.summary["uipi_vs_concord_mean_ratio_small_quanta"]
     # Paper: cooperation imposes ~2x lower overhead than UIPIs.

@@ -3,8 +3,8 @@
 from conftest import assert_summary, run_once
 
 
-def test_fig3(benchmark, quality):
-    results = run_once(benchmark, "fig3", quality)
+def test_fig3(quality):
+    results = run_once("fig3", quality)
     result = results[0]
     # Idle overhead decreases with service time for the SQ systems...
     sq_column = [row[1] for row in result.rows]

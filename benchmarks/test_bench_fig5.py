@@ -3,8 +3,8 @@
 from conftest import assert_summary, run_once
 
 
-def test_fig5(benchmark, quality):
-    results = run_once(benchmark, "fig5", quality)
+def test_fig5(quality):
+    results = run_once("fig5", quality)
     _, precise = assert_summary(results, "precise_knee_fraction")
     _, noisy = assert_summary(results, "noisy_n52_knee_fraction")
     _, blocked = assert_summary(results, "no_preemption_knee_fraction")

@@ -3,8 +3,8 @@
 from conftest import run_once
 
 
-def test_fig6(benchmark, quality):
-    results = run_once(benchmark, "fig6", quality)
+def test_fig6(quality):
+    results = run_once("fig6", quality)
     # Concord beats Shinjuku at both quanta; the gap widens at 2us.
     gains = []
     for result in results:

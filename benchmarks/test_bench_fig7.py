@@ -3,8 +3,8 @@
 from conftest import run_once
 
 
-def test_fig7(benchmark, quality):
-    results = run_once(benchmark, "fig7", quality)
+def test_fig7(quality):
+    results = run_once("fig7", quality)
     gains = []
     for result in results:
         shinjuku = result.summary["knee_krps[Shinjuku]"]

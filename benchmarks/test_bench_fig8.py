@@ -3,8 +3,8 @@
 from conftest import run_once
 
 
-def test_fig8(benchmark, quality):
-    results = run_once(benchmark, "fig8", quality)
+def test_fig8(quality):
+    results = run_once("fig8", quality)
     fixed, tpcc = results
 
     # Fixed(1us): all three systems are dispatcher-bound together — knees

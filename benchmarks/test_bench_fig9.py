@@ -3,8 +3,8 @@
 from conftest import run_once
 
 
-def test_fig9(benchmark, quality):
-    results = run_once(benchmark, "fig9", quality)
+def test_fig9(quality):
+    results = run_once("fig9", quality)
     gains = [
         result.summary["Concord_vs_Shinjuku_improvement_pct"]
         for result in results

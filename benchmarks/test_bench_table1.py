@@ -3,8 +3,8 @@
 from conftest import run_once
 
 
-def test_table1(benchmark, quality):
-    results = run_once(benchmark, "table1", quality)
+def test_table1(quality):
+    results = run_once("table1", quality)
     summary = results[0].summary
     # Aggregate claims of Table 1: Concord's mean overhead is ~1% and far
     # below Compiler Interrupts'; some entries are negative (unrolling);

@@ -76,7 +76,7 @@ def main():
     machine = c6420()
     workload = bimodal_50_1_50_100()
     load = 0.7 * machine.num_workers * 1e6 / workload.mean_us()
-    server = Server(machine, concord(5.0), seed=1, profile=profile)
+    server = Server(machine, concord(5.0, profile=profile), seed=1)
     result = server.run(workload, PoissonProcess(load), 15_000)
     summary = summarize_slowdowns(result.slowdowns())
     print("\nscheduler simulation with this program's probe gaps:")

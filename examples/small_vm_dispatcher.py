@@ -11,10 +11,10 @@ Run:  python examples/small_vm_dispatcher.py
 """
 
 from repro.core import concord, concord_no_steal
+from repro.experiments import sweep_systems
 from repro.hardware import cloud_vm_4core
 from repro.kvstore import concord_lock_counter_safety
 from repro.metrics import format_table, knee_load
-from repro.metrics.sweep import LoadSweep
 from repro.workloads import leveldb_50get_50scan
 
 
@@ -29,19 +29,16 @@ def main():
         concord_no_steal(5.0, safety=safety),
         concord(5.0, safety=safety),
     ]
-    sweeps = {}
-    for config in configs:
-        sweep = LoadSweep(machine, config, workload, num_requests=6_000,
-                          seed=5)
-        sweep.run(loads)
-        sweeps[config.name] = sweep
+    # {config name: [SweepPoint per load]}; REPRO_JOBS=N fans it out.
+    sweeps = sweep_systems(machine, configs, workload, loads,
+                           num_requests=6_000, seed=5)
 
     rows = []
     for i, load in enumerate(loads):
         rows.append(
             [load / 1e3]
-            + [sweeps[c.name].points[i].p999 for c in configs]
-            + [sweeps["Concord"].points[i].steals]
+            + [sweeps[c.name][i].p999 for c in configs]
+            + [sweeps["Concord"][i].steals]
         )
     print(format_table(
         ["load_krps"] + [c.name for c in configs] + ["steals"],
@@ -49,11 +46,11 @@ def main():
         title="p99.9 slowdown on the 4-core VM (2 workers)",
     ))
     for config in configs:
-        knee = knee_load(sweeps[config.name].points)
+        knee = knee_load(sweeps[config.name])
         print("  {}: sustains {:.1f} kRps within the 50x SLO".format(
             config.name, knee / 1e3))
-    base = knee_load(sweeps[configs[0].name].points)
-    boosted = knee_load(sweeps[configs[1].name].points)
+    base = knee_load(sweeps[configs[0].name])
+    boosted = knee_load(sweeps[configs[1].name])
     if base > 0:
         print("  work conservation buys {:+.0f}% (paper: ~33%)".format(
             100 * (boosted / base - 1)))

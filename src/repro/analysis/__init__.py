@@ -12,8 +12,8 @@ repository's own Python source:
 * an interprocedural effect analysis (:mod:`repro.analysis.effects`)
   that builds a call graph across ``repro.*``, infers per-function
   effect sets over the {clock, global-rng, io, env, unordered-iter}
-  lattice, and emits a purity certificate for the ``SimJob`` /
-  ``ServerJob`` / ``RackJob`` entry points;
+  lattice, and emits a purity certificate for the ``SimJob`` and
+  ``RackJob`` entry points;
 * text/JSON reporters and the ``repro-san`` CLI
   (:mod:`repro.analysis.cli`), wired into CI as a gate.
 

@@ -79,7 +79,7 @@ SIM_PACKAGES = (
 )
 
 #: The picklable job dataclasses the parallel runner ships to workers.
-_JOB_CLASSES = ("SimJob", "ServerJob", "RackJob", "FaultJob")
+_JOB_CLASSES = ("SimJob", "RackJob")
 
 
 def in_sim_path(module):

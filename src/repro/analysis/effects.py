@@ -69,9 +69,7 @@ FORBIDDEN_EFFECTS = frozenset(ALL_EFFECTS)
 #: The entry points the parallel runner and ResultCache assume pure.
 DEFAULT_ENTRY_POINTS = (
     "repro.parallel.jobs:SimJob.run",
-    "repro.parallel.jobs:ServerJob.run",
     "repro.parallel.jobs:RackJob.run",
-    "repro.parallel.jobs:FaultJob.run",
 )
 
 MODULE_BODY = "<module>"

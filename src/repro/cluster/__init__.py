@@ -27,7 +27,7 @@ from repro.cluster.policies import (
     make_cluster_policy,
 )
 from repro.cluster.balancer import LoadBalancer
-from repro.cluster.rack import Cluster, ClusterResult, ClusterServer
+from repro.cluster.rack import Cluster, ClusterResult
 
 __all__ = [
     "NetworkFabric",
@@ -42,6 +42,5 @@ __all__ = [
     "CLUSTER_POLICIES",
     "LoadBalancer",
     "Cluster",
-    "ClusterServer",
     "ClusterResult",
 ]

@@ -20,29 +20,7 @@ from repro.obs.session import active_session
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 
-__all__ = ["Cluster", "ClusterServer", "ClusterResult"]
-
-
-class ClusterServer(Server):
-    """One rack member: an ordinary single-dispatcher server wired into the
-    shared rack simulator with reproducibly-derived child streams.
-
-    The adapter adds nothing to the scheduling model — that is the point:
-    balancer-routed arrivals enter through the same :meth:`deliver` seam
-    the single-server paths use, so rack-scale results compose the exact
-    intra-server behaviour the paper's figures measure.
-    """
-
-    def __init__(self, index, machine, config, sim, streams, profile=None,
-                 app=None):
-        super().__init__(
-            machine, config,
-            sim=sim,
-            streams=streams.spawn_key("server", index),
-            profile=profile,
-            app=app,
-        )
-        self.index = index
+__all__ = ["Cluster", "ClusterResult"]
 
 
 class Cluster:
@@ -75,7 +53,7 @@ class Cluster:
     """
 
     def __init__(self, machine, config, num_servers, policy="jsq", seed=0,
-                 fabric=None, profile=None, fault_plan=None, resilience=None):
+                 fabric=None, fault_plan=None, resilience=None):
         if num_servers < 1:
             raise ValueError(
                 "rack needs at least one server, got {}".format(num_servers)
@@ -88,11 +66,9 @@ class Cluster:
         self.fabric = fabric if fabric is not None else NetworkFabric()
         self.policy = make_cluster_policy(policy)
         self.servers = [
-            ClusterServer(
-                index, machine, config, self.sim, self.streams,
-                profile=profile,
-            )
-            for index in range(num_servers)
+            Server(machine, config, sim=self.sim,
+                   streams=self.streams.spawn_key("server", i))
+            for i in range(num_servers)
         ]
         self.balancer = LoadBalancer(
             self.sim, machine.clock, self.servers, self.policy, self.fabric,

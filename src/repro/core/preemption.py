@@ -101,12 +101,6 @@ class PreemptionMechanism:
         and the worker starting its yield."""
         return self._notice.sample_cycles(rng)
 
-    def attach_profile(self, profile):
-        """Point probe-gap-based notice latency at an application's
-        instrumentation profile.  No-op for interrupt mechanisms."""
-        if isinstance(self._notice, UniformProbeGapNotice):
-            self._notice.profile = profile
-
 
 class NoPreemption(PreemptionMechanism):
     """Run-to-completion: the Persephone-FCFS baseline (section 5.1)."""

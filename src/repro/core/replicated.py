@@ -22,7 +22,7 @@ __all__ = ["ReplicatedServer", "ReplicatedResult"]
 class ReplicatedServer:
     """N independent single-dispatcher instances over disjoint workers."""
 
-    def __init__(self, machine, config, num_partitions, seed=0, profile=None):
+    def __init__(self, machine, config, num_partitions, seed=0):
         if num_partitions < 1:
             raise ValueError("need at least one partition")
         if machine.num_workers % num_partitions:
@@ -38,7 +38,7 @@ class ReplicatedServer:
         self.partitions = [
             Server(
                 machine.with_workers(workers_each), config,
-                seed=seed + 1000 * index, profile=profile,
+                seed=seed + 1000 * index,
             )
             for index in range(num_partitions)
         ]

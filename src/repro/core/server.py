@@ -213,8 +213,8 @@ def pooled(parts):
 class Server:
     """A single simulated server instance (one run)."""
 
-    def __init__(self, machine, config, seed=0, profile=None, app=None,
-                 sim=None, streams=None):
+    def __init__(self, machine, config, seed=0, app=None, sim=None,
+                 streams=None):
         self.machine = machine
         self.config = config
         self.clock = machine.clock
@@ -244,8 +244,6 @@ class Server:
             self.mechanism = config.preemption_factory(machine)
         else:
             self.mechanism = NoPreemption()
-        if profile is not None:
-            self.mechanism.attach_profile(profile)
 
         self.policy = make_policy(config.policy)
         self.costs = _Costs(machine, config, self.mechanism)

@@ -2,8 +2,8 @@
 
 Every experiment exposes ``run(quality="standard", seed=1) ->
 ExperimentResult`` and prints the same rows/series the paper's figure
-plots.  The CLI (``concord-repro``) lists and runs them; the benchmarks in
-``benchmarks/`` wrap them for pytest-benchmark.
+plots.  The CLI (``concord-repro``) lists and runs them; the tests in
+``benchmarks/`` run each once and assert the paper's qualitative shape.
 
 Quality levels trade fidelity for wall-clock time: "smoke" for CI,
 "standard" for interactive runs, "full" for the numbers recorded in

@@ -13,6 +13,7 @@ import os
 import sys
 import time
 
+from repro import constants
 from repro.experiments import tracecmd
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.workloads.named import NAMED_WORKLOADS
@@ -283,7 +284,7 @@ def _build_runner(args, stream=None):
 def _run_compare(args, stream):
     from repro.hardware import c6420
     from repro.metrics import format_table
-    from repro.parallel import ServerJob
+    from repro.parallel import SimJob
     from repro.workloads import workload_by_name
 
     runner = _build_runner(args, stream)
@@ -294,24 +295,24 @@ def _run_compare(args, stream):
         if args.load_krps is not None
         else 0.6 * machine.num_workers * 1e6 / workload.mean_us()
     )
+    configs = [_SYSTEM_FACTORIES[name](args.quantum_us)
+               for name in args.systems]
     jobs = [
-        ServerJob(
-            machine=machine, config=_SYSTEM_FACTORIES[name](args.quantum_us),
-            workload=workload, load_rps=load, num_requests=args.requests,
-            seed=args.seed,
+        SimJob(
+            machine=machine, config=config, workload=workload,
+            load_rps=load, num_requests=args.requests, seed=args.seed,
         )
-        for name in args.systems
+        for config in configs
     ]
     rows = []
     with tracecmd.maybe_traced(args, stream, default_out="compare-trace.json"):
-        outcomes = runner.map(jobs)
-    for outcome in outcomes:
+        points = runner.map(jobs)
+    for config, point in zip(configs, points):
         rows.append([
-            outcome["name"], outcome["p50"], outcome["p99"],
-            outcome["p999"],
-            "yes" if outcome["meets_slo"] else "NO",
-            round(outcome["dispatcher_utilization"], 3),
-            outcome["steal_completions"],
+            config.name, point.p50, point.p99, point.p999,
+            "yes" if point.p999 <= constants.SLOWDOWN_SLO else "NO",
+            round(point.dispatcher_utilization, 3),
+            point.steal_completions,
         ])
     print(format_table(
         ["system", "p50", "p99", "p99.9", "SLO met", "disp util", "stolen"],
@@ -398,7 +399,7 @@ def _run_faults(args, stream):
     from repro.faults import ResilienceConfig
     from repro.hardware import c6420
     from repro.metrics import format_table
-    from repro.parallel import FaultJob
+    from repro.parallel import RackJob
     from repro.workloads import workload_by_name
 
     runner = _build_runner(args, stream)
@@ -417,7 +418,7 @@ def _run_faults(args, stream):
     ]
     with tracecmd.maybe_traced(args, stream, default_out="faults-trace.json"):
         outcomes = runner.map([
-            FaultJob(
+            RackJob(
                 machine=machine, config=factory(args.quantum_us),
                 num_servers=args.servers, policy=args.policy,
                 workload=workload, load_rps=load,
@@ -451,12 +452,9 @@ def _run_faults(args, stream):
     return 0
 
 
-def _run_one(experiment_id, quality, seed, out_dir, stream, plot=False,
-             runner=None):
+def _run_one(experiment_id, quality, seed, out_dir, stream, plot=False):
     started = time.time()  # repro-san: ignore[DET001] -- times the run for the progress footer only; never enters results
-    results = run_experiment(
-        experiment_id, quality=quality, seed=seed, runner=runner
-    )
+    results = run_experiment(experiment_id, quality=quality, seed=seed)
     elapsed = time.time() - started  # repro-san: ignore[DET001] -- times the run for the progress footer only; never enters results
     chunks = [result.render() for result in results]
     if plot:
@@ -518,15 +516,17 @@ def _dispatch(args, stream):
 
     if args.out:
         os.makedirs(args.out, exist_ok=True)
+    from repro.parallel import using_runner
+
     runner = _build_runner(args, stream)
-    with tracecmd.maybe_traced(args, stream):
+    with tracecmd.maybe_traced(args, stream), using_runner(runner):
         if args.experiment == "all":
             for eid in sorted(EXPERIMENTS):
                 _run_one(eid, args.quality, args.seed, args.out, stream,
-                         plot=args.plot, runner=runner)
+                         plot=args.plot)
         else:
             _run_one(args.experiment, args.quality, args.seed, args.out,
-                     stream, plot=args.plot, runner=runner)
+                     stream, plot=args.plot)
     if runner.cache is not None and (runner.cache.hits or runner.cache.stores):
         print(
             "  [cache: {} hits, {} new entries in {}]".format(

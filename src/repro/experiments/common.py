@@ -5,7 +5,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.metrics.report import format_table
-from repro.metrics.sweep import LoadSweep
 
 __all__ = ["RunScale", "QUALITY_PRESETS", "ExperimentResult", "sweep_systems",
            "load_grid"]
@@ -107,34 +106,30 @@ def load_grid(max_load_rps, points, low_fraction=0.25, high_fraction=1.0):
 
 
 def sweep_systems(machine, configs, workload, loads, num_requests, seed=1,
-                  warmup_frac=0.1, profile=None, arrival_factory=None,
-                  runner=None):
+                  arrival_factory=None):
     """Run a load sweep for each configuration (common random numbers) and
-    return ``{config_name: LoadSweep}`` preserving config order.
+    return ``{config_name: [SweepPoint per load]}`` preserving config order.
 
-    All (config x load) cells are independent simulations, so they are
-    submitted to the runner (default: the process-wide one, see
-    :func:`repro.parallel.get_default_runner`) as **one** batch — with
-    ``--jobs N`` the whole figure fans out at once rather than one
-    config at a time.  Results are bit-identical to serial execution.
+    All (config x load) cells are independent :class:`~repro.parallel.SimJob`
+    simulations, so they are submitted to the process-wide runner (see
+    :func:`repro.parallel.get_default_runner`; ``run_experiment(runner=)``
+    installs one) as **one** batch — with ``--jobs N`` the whole figure
+    fans out at once rather than one config at a time.  Results are
+    bit-identical to serial execution.  ``arrival_factory`` maps a rate to
+    an arrival process (default: open-loop Poisson).
     """
-    from repro.parallel import get_default_runner
+    from repro.parallel import SimJob, get_default_runner
 
-    if runner is None:
-        runner = get_default_runner()
     loads = list(loads)
-    sweeps = {}
-    for config in configs:
-        sweeps[config.name] = LoadSweep(
-            machine, config, workload, num_requests=num_requests, seed=seed,
-            warmup_frac=warmup_frac, profile=profile,
+    points = get_default_runner().map([
+        SimJob(
+            machine=machine, config=config, workload=workload,
+            load_rps=load, num_requests=num_requests, seed=seed,
             arrival_factory=arrival_factory,
         )
-    jobs = [
-        sweeps[config.name].job(load) for config in configs for load in loads
-    ]
-    points = runner.map(jobs)
-    for c, config in enumerate(configs):
-        chunk = points[c * len(loads):(c + 1) * len(loads)]
-        sweeps[config.name].points.extend(chunk)
-    return sweeps
+        for config in configs for load in loads
+    ])
+    return {
+        config.name: points[c * len(loads):(c + 1) * len(loads)]
+        for c, config in enumerate(configs)
+    }

@@ -41,9 +41,8 @@ def _mechanisms():
     ]
 
 
-def run(quality="standard", seed=1, runner=None):
-    if runner is None:
-        runner = get_default_runner()
+def run(quality="standard", seed=1):
+    runner = get_default_runner()
     scale = scale_for(quality)
     num_servers = RACK_SIZES.get(quality, 4)
     machine = c6420(WORKERS_PER_SERVER)

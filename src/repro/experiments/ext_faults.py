@@ -30,7 +30,7 @@ from repro.faults import (
     FaultPlan, ResilienceConfig, ServerCrash, TelemetryBlackout,
 )
 from repro.hardware import c6420
-from repro.parallel import FaultJob, get_default_runner
+from repro.parallel import RackJob, get_default_runner
 from repro.workloads.named import bimodal_50_1_50_100
 
 QUANTUM_US = 5.0
@@ -59,9 +59,8 @@ def _span_us(num_requests, load_rps):
     return num_requests / load_rps * 1e6
 
 
-def run(quality="standard", seed=1, runner=None):
-    if runner is None:
-        runner = get_default_runner()
+def run(quality="standard", seed=1):
+    runner = get_default_runner()
     scale = scale_for(quality)
     num_servers = RACK_SIZES.get(quality, 4)
     machine = c6420(WORKERS_PER_SERVER)
@@ -75,7 +74,7 @@ def run(quality="standard", seed=1, runner=None):
     results = []
 
     def fault_job(policy, plan=None, resilience=None):
-        return FaultJob(
+        return RackJob(
             machine=machine, config=concord(QUANTUM_US),
             num_servers=num_servers, policy=policy, workload=workload,
             load_rps=load, num_requests=n, seed=seed,
@@ -121,8 +120,7 @@ def run(quality="standard", seed=1, runner=None):
         blackout.add_row(
             intensity, policy, round(outcome["p999"], 2),
             round(outcome["p999"] / clean["p999"], 2),
-            round(outcome["slo_goodput"], 4),
-            0 if intensity <= 0 else "yes",
+            round(outcome["slo_goodput"], 4), outcome["reports_dropped"],
         )
     worst = BLACKOUT_INTENSITIES[-1]
     for policy in BLACKOUT_POLICIES:

@@ -65,16 +65,16 @@ def run(quality="standard", seed=1):
     for i, load in enumerate(loads):
         row = [load / 1e3]
         for config in configs:
-            row.append(sweeps[config.name].points[i].p999)
-        row.append(sweeps["Concord"].points[i].steals)
+            row.append(sweeps[config.name][i].p999)
+        row.append(sweeps["Concord"][i].steals)
         result.add_row(*row)
         shinjuku_gaps.append(
-            sweeps["Concord"].points[i].p999
-            - sweeps["Shinjuku"].points[i].p999
+            sweeps["Concord"][i].p999
+            - sweeps["Shinjuku"][i].p999
         )
         steal_gaps.append(
-            sweeps["Concord"].points[i].p999
-            - sweeps["Concord w/o dispatcher work"].points[i].p999
+            sweeps["Concord"][i].p999
+            - sweeps["Concord w/o dispatcher work"][i].p999
         )
 
     result.summary["mean_concord_minus_shinjuku_p999"] = (
@@ -86,9 +86,7 @@ def run(quality="standard", seed=1):
         sum(steal_gaps) / len(steal_gaps)
     )
     result.summary["max_steal_penalty_p999"] = max(steal_gaps)
-    result.summary["total_steals"] = sum(
-        p.steals for p in sweeps["Concord"].points
-    )
+    result.summary["total_steals"] = sum(p.steals for p in sweeps["Concord"])
     result.note(
         "paper: Concord's p99.9 slowdown sits ~3 above Shinjuku's at low "
         "load because burst-stolen requests finish slower on the dispatcher;"

@@ -14,6 +14,7 @@ from repro.experiments.common import (
     sweep_systems,
 )
 from repro.hardware import c6420
+from repro.metrics.sweep import knee_load
 from repro.workloads.named import bimodal_995_05_500
 
 NUM_WORKERS = 14
@@ -47,15 +48,17 @@ def run(quality="standard", seed=1):
     for i, load in enumerate(loads):
         row = [load / max_load]
         for config in configs:
-            row.append(sweeps[config.name].points[i].p999)
+            row.append(sweeps[config.name][i].p999)
         result.add_row(*row)
 
     precise = sweeps["Precise preemption: N(5,0)"]
     noisy = sweeps["Preemption with variance: N(5,2)"]
     blocked = sweeps["Single Queue (no preemption)"]
-    result.summary["precise_knee_fraction"] = precise.knee() / max_load
-    result.summary["noisy_n52_knee_fraction"] = noisy.knee() / max_load
-    result.summary["no_preemption_knee_fraction"] = blocked.knee() / max_load
+    result.summary["precise_knee_fraction"] = knee_load(precise) / max_load
+    result.summary["noisy_n52_knee_fraction"] = knee_load(noisy) / max_load
+    result.summary["no_preemption_knee_fraction"] = (
+        knee_load(blocked) / max_load
+    )
     result.note(
         "paper: small-sigma noisy preemption is almost identical to precise "
         "preemption; no preemption crosses the SLO far earlier"

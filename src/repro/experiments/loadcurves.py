@@ -7,6 +7,7 @@ from repro.experiments.common import (
     scale_for,
     sweep_systems,
 )
+from repro.metrics.sweep import knee_load
 
 __all__ = ["slowdown_vs_load"]
 
@@ -14,20 +15,17 @@ __all__ = ["slowdown_vs_load"]
 def slowdown_vs_load(experiment_id, title, machine, configs, workload,
                      max_load_rps, quality="standard", seed=1,
                      low_fraction=0.25, high_fraction=1.0, baseline=None,
-                     contender=None, slo=constants.SLOWDOWN_SLO,
-                     profile=None, runner=None):
+                     contender=None, slo=constants.SLOWDOWN_SLO):
     """Run each config across a load grid; report p99.9 curves and knees.
 
     ``baseline``/``contender`` name two configs whose knee ratio is the
     figure's headline ("Concord sustains X% greater throughput").
-    ``runner`` overrides the process-wide parallel runner for the sweep.
     """
     scale = scale_for(quality)
     loads = load_grid(max_load_rps, scale.load_points, low_fraction,
                       high_fraction)
     sweeps = sweep_systems(
         machine, configs, workload, loads, scale.num_requests, seed=seed,
-        profile=profile, runner=runner,
     )
     result = ExperimentResult(
         experiment_id=experiment_id,
@@ -37,16 +35,16 @@ def slowdown_vs_load(experiment_id, title, machine, configs, workload,
     for i, load in enumerate(loads):
         row = [load / 1e3]
         for config in configs:
-            row.append(sweeps[config.name].points[i].p999)
+            row.append(sweeps[config.name][i].p999)
         result.add_row(*row)
 
     for config in configs:
-        knee = sweeps[config.name].knee(slo)
+        knee = knee_load(sweeps[config.name], slo)
         result.summary["knee_krps[{}]".format(config.name)] = knee / 1e3
 
     if baseline and contender:
-        base_knee = sweeps[baseline].knee(slo)
-        cont_knee = sweeps[contender].knee(slo)
+        base_knee = knee_load(sweeps[baseline], slo)
+        cont_knee = knee_load(sweeps[contender], slo)
         if base_knee > 0:
             result.summary["{}_vs_{}_improvement_pct".format(
                 contender, baseline

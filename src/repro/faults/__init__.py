@@ -11,7 +11,8 @@ executes any of this code — every hook is behind an ``is None`` guard —
 so the fault-free hot path stays bit-identical.
 
 Entry point: ``Cluster(..., fault_plan=plan, resilience=config)`` or the
-picklable :class:`repro.parallel.FaultJob`.
+picklable :class:`repro.parallel.RackJob` with the same two fields, whose
+row carries the fault and resilience counters (zero without a plan).
 """
 
 from repro.faults.detector import DetectorConfig, FailureDetector

@@ -254,9 +254,8 @@ class FaultInjector:
             record.lost = len(lost)
             state.lost_inflight += len(lost)
             self.lost_total += len(lost)
-            manager = self.balancer.resilience
-            if manager is not None:
-                manager.note_lost(lost)
+            # The balancer cannot observe a silent loss: resilience
+            # resolves these attempts through their per-attempt timeouts.
         probes = self.balancer.probes
         if probes is not None:
             probes.server_crashed(now, spec.server, len(lost))

@@ -4,7 +4,7 @@ A :class:`FaultPlan` is a picklable, frozen description of every fault a
 run will experience, expressed in simulated microseconds.  Plans are pure
 data — the :class:`~repro.faults.injector.FaultInjector` interprets them
 against a live rack — so the same plan object can parameterize a
-:class:`~repro.parallel.FaultJob`, key the result cache, and travel to
+:class:`~repro.parallel.RackJob`, key the result cache, and travel to
 pool workers, and two runs of the same (plan, seed) pair are bit-identical.
 
 The fault vocabulary mirrors the failure modes the paper's environment

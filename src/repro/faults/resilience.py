@@ -283,12 +283,6 @@ class ResilienceManager:
             entry.hedge_event.cancel()
             entry.hedge_event = None
 
-    def note_lost(self, requests):
-        """Crash sweep lost these attempts; resolution stays with the
-        per-attempt timeouts (the balancer cannot observe a silent loss),
-        so nothing to do — the hook exists for symmetry and future
-        fail-fast semantics (e.g. connection-reset notifications)."""
-
     # -- reporting ---------------------------------------------------------------
 
     def e2e_latencies_us(self):

@@ -4,7 +4,7 @@ from repro.metrics.percentile import percentile, Histogram
 from repro.metrics.slowdown import (
     SlowdownSummary, check_warmup_frac, summarize_slowdowns,
 )
-from repro.metrics.sweep import LoadSweep, SweepPoint, knee_load
+from repro.metrics.sweep import SweepPoint, knee_load
 from repro.metrics.report import format_table
 from repro.metrics.plot import ascii_plot
 
@@ -14,7 +14,6 @@ __all__ = [
     "SlowdownSummary",
     "summarize_slowdowns",
     "check_warmup_frac",
-    "LoadSweep",
     "SweepPoint",
     "knee_load",
     "format_table",

@@ -1,10 +1,13 @@
 """Load sweeps: the x-axis of every "slowdown vs load" figure.
 
-A :class:`LoadSweep` runs one runtime configuration across a grid of offered
-loads (fresh server per point, common random numbers across configurations)
-and records the tail slowdown at each point.  :func:`knee_load` extracts the
-paper's headline number — the maximum load sustained within the SLO — by
-interpolating where the tail curve crosses the SLO.
+:func:`run_sweep_point` simulates one runtime configuration at one offered
+load (a fresh server per point, so every configuration sees the same
+arrival randomness) and records the tail slowdown as a :class:`SweepPoint`;
+:class:`repro.parallel.SimJob` wraps it as a job, and
+:func:`repro.experiments.common.sweep_systems` maps those jobs over a grid
+of loads.  :func:`knee_load` extracts the paper's headline number — the
+maximum load sustained within the SLO — by interpolating where the tail
+curve crosses the SLO.
 """
 
 from dataclasses import dataclass
@@ -15,7 +18,7 @@ from repro.core.server import Server
 from repro.metrics.slowdown import summarize_slowdowns
 from repro.workloads.arrivals import PoissonProcess
 
-__all__ = ["SweepPoint", "LoadSweep", "knee_load", "run_sweep_point"]
+__all__ = ["SweepPoint", "knee_load", "run_sweep_point"]
 
 
 @dataclass(frozen=True)
@@ -31,24 +34,27 @@ class SweepPoint:
     dispatcher_utilization: float
     worker_idle_fraction: float
     steals: int
+    steal_completions: int
     completed: int
 
 
 def run_sweep_point(machine, config, workload, load_rps, num_requests,
-                    seed=1, warmup_frac=0.1, profile=None,
-                    arrival_factory=None):
+                    seed=1, arrival_factory=None):
     """Simulate one (config, offered load) point and return its
     :class:`SweepPoint`.
 
-    This is the unit of work the parallel executor ships to worker
-    processes; it is a pure function of its arguments (a fresh server is
-    built from ``seed``), which is what makes parallel sweeps bit-identical
-    to serial ones.
+    This is the body of :class:`repro.parallel.SimJob`, the unit of work
+    the parallel executor ships to worker processes; it is a pure function
+    of its arguments (a fresh server is built from ``seed``), which is what
+    makes parallel sweeps bit-identical to serial ones.
+    ``arrival_factory`` maps a rate to an arrival process; the default is
+    open-loop Poisson (section 5.1).  The first 10% of completions are
+    discarded as warmup.
     """
     factory = arrival_factory or PoissonProcess
-    server = Server(machine, config, seed=seed, profile=profile)
+    server = Server(machine, config, seed=seed)
     result = server.run(workload, factory(load_rps), num_requests)
-    summary = summarize_slowdowns(result.slowdowns(warmup_frac))
+    summary = summarize_slowdowns(result.slowdowns())
     return SweepPoint(
         load_rps=load_rps,
         p50=summary.p50,
@@ -59,90 +65,9 @@ def run_sweep_point(machine, config, workload, load_rps, num_requests,
         dispatcher_utilization=result.dispatcher_utilization(),
         worker_idle_fraction=result.worker_idle_fraction(),
         steals=result.dispatcher_stats["steals_started"],
+        steal_completions=result.dispatcher_stats["steal_completions"],
         completed=len(result.records),
     )
-
-
-class LoadSweep:
-    """Sweep offered load for one configuration.
-
-    Parameters
-    ----------
-    machine, config, workload:
-        What to simulate.
-    num_requests:
-        Arrivals per load point.
-    seed:
-        Master seed; every load point derives its own streams, and two
-        sweeps with the same seed see identical arrival randomness (common
-        random numbers).
-    warmup_frac:
-        Fraction of early samples discarded, as in section 5.1.
-    profile:
-        Optional instrumentation profile forwarded to probe-based
-        preemption mechanisms.
-    """
-
-    def __init__(self, machine, config, workload, num_requests=20000, seed=1,
-                 warmup_frac=0.1, profile=None, arrival_factory=None):
-        self.machine = machine
-        self.config = config
-        self.workload = workload
-        self.num_requests = num_requests
-        self.seed = seed
-        self.warmup_frac = warmup_frac
-        self.profile = profile
-        #: Callable rate_rps -> ArrivalProcess; default open-loop Poisson
-        #: (section 5.1).  Pass a MarkovModulatedPoisson factory to study
-        #: burstier-than-Poisson traffic.
-        self.arrival_factory = arrival_factory or PoissonProcess
-        self.points = []
-
-    def job(self, load_rps):
-        """The picklable :class:`~repro.parallel.SimJob` for one load."""
-        from repro.parallel import SimJob
-
-        return SimJob(
-            machine=self.machine,
-            config=self.config,
-            workload=self.workload,
-            load_rps=load_rps,
-            num_requests=self.num_requests,
-            seed=self.seed,
-            warmup_frac=self.warmup_frac,
-            profile=self.profile,
-            arrival_factory=self.arrival_factory,
-        )
-
-    def run_point(self, load_rps):
-        """Simulate one offered load and append/return its SweepPoint."""
-        point = run_sweep_point(
-            self.machine, self.config, self.workload, load_rps,
-            self.num_requests, seed=self.seed, warmup_frac=self.warmup_frac,
-            profile=self.profile, arrival_factory=self.arrival_factory,
-        )
-        self.points.append(point)
-        return point
-
-    def run(self, loads_rps, runner=None):
-        """Simulate every load in ``loads_rps`` (ascending recommended).
-
-        With a :class:`~repro.parallel.ParallelRunner`, points are fanned
-        out across worker processes (and/or served from the result cache);
-        each point is an independent simulation seeded only by
-        ``(seed, load)``, so results are bit-identical to the serial path.
-        """
-        loads_rps = list(loads_rps)
-        if runner is None:
-            for load in loads_rps:
-                self.run_point(load)
-        else:
-            self.points.extend(runner.map([self.job(l) for l in loads_rps]))
-        return self.points
-
-    def knee(self, slo=constants.SLOWDOWN_SLO):
-        """Maximum sustained load within the SLO; see :func:`knee_load`."""
-        return knee_load(self.points, slo)
 
 
 def knee_load(points, slo=constants.SLOWDOWN_SLO):

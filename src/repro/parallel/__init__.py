@@ -4,10 +4,9 @@ doubles as the resume store.
 
 Three layers:
 
-* :mod:`repro.parallel.jobs` — picklable job specs (:class:`SimJob`,
-  :class:`ServerJob`, :class:`RackJob`, :class:`FaultJob`) whose
-  ``run()`` is a pure function
-  of their fields;
+* :mod:`repro.parallel.jobs` — picklable job specs, one per run shape
+  (:class:`SimJob`, one server at one load; :class:`RackJob`, one rack,
+  faulted or not), whose ``run()`` is a pure function of their fields;
 * :mod:`repro.parallel.runner` — :class:`ParallelRunner`, which maps jobs
   across a supervised process pool, one job per pool task (or in-process
   when ``jobs=1``, a single job is pending, pickling fails or the pool
@@ -21,6 +20,10 @@ Three layers:
   is stored the moment its job settles, so an interrupted sweep
   (:class:`SweepInterrupted`) resumes bit-identically by re-running it
   against the same cache; only jobs without a stable description re-run.
+
+Experiments take no runner argument: they map their jobs on
+:func:`get_default_runner`, which ``run_experiment(runner=...)`` swaps in
+for one run through :func:`using_runner`.
 """
 
 from repro.parallel.cache import (
@@ -30,9 +33,7 @@ from repro.parallel.cache import (
     default_cache_dir,
     stable_describe,
 )
-from repro.parallel.jobs import (
-    FaultJob, RackJob, ServerJob, SimJob, execute_job,
-)
+from repro.parallel.jobs import RackJob, SimJob, execute_job
 from repro.parallel.runner import (
     ParallelRunner,
     Quarantined,
@@ -45,9 +46,7 @@ from repro.parallel.runner import (
 
 __all__ = [
     "SimJob",
-    "ServerJob",
     "RackJob",
-    "FaultJob",
     "execute_job",
     "ParallelRunner",
     "Quarantined",

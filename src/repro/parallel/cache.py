@@ -35,7 +35,11 @@ __all__ = [
 
 #: Bump when the key derivation or stored-value layout changes.
 #: 3: fault-injection layer — FaultJob rows, Cluster fault_plan/resilience.
-CACHE_SCHEMA_VERSION = 3
+#: 4: two job specs — SimJob also serves ``compare`` (SweepPoint gains
+#:    ``steal_completions``), RackJob takes over FaultJob's row and adds
+#:    ``reports_dropped``; both drop ``warmup_frac``, SimJob ``profile``
+#:    and RackJob ``max_events``.
+CACHE_SCHEMA_VERSION = 4
 
 #: CPython's Py_TPFLAGS_HEAPTYPE: set for classes defined in Python.
 _PY_TPFLAGS_HEAPTYPE = 1 << 9

@@ -1,17 +1,18 @@
-"""Picklable units of simulation work.
+"""Picklable units of simulation work, one per run shape.
 
 Each job is a frozen dataclass whose ``run()`` is a pure function of its
 fields: a fresh server (or rack) is built from the job's seed, so executing
 the same job in any process — or reading it back from the result cache —
 yields bit-identical results.  ``execute_job`` is the module-level entry
 point handed to ``multiprocessing.Pool.map`` (bound methods don't pickle on
-spawn-based platforms).
+spawn-based platforms).  Both jobs measure with the results' default
+warmup: the first 10% of completions are discarded (section 5.1).
 """
 
 from dataclasses import dataclass
 from typing import Any, Optional
 
-__all__ = ["SimJob", "RackJob", "ServerJob", "FaultJob", "execute_job"]
+__all__ = ["SimJob", "RackJob", "execute_job"]
 
 
 def execute_job(job):
@@ -21,10 +22,12 @@ def execute_job(job):
 
 @dataclass(frozen=True)
 class SimJob:
-    """One (config, load point) cell of a load sweep.
+    """One server at one offered load: a cell of a load sweep, or one row of
+    the ``compare`` command.
 
-    ``run()`` returns the :class:`~repro.metrics.sweep.SweepPoint` that
-    :meth:`LoadSweep.run_point` would have produced for the same arguments.
+    ``run()`` returns the :class:`~repro.metrics.sweep.SweepPoint` (full
+    SimResults hold every Request record — far too heavy to ship back
+    through a pipe or store in the cache).
     """
 
     machine: Any
@@ -33,8 +36,6 @@ class SimJob:
     load_rps: float
     num_requests: int
     seed: int = 1
-    warmup_frac: float = 0.1
-    profile: Optional[Any] = None
     arrival_factory: Optional[Any] = None
 
     def run(self):
@@ -42,102 +43,20 @@ class SimJob:
 
         return run_sweep_point(
             self.machine, self.config, self.workload, self.load_rps,
-            self.num_requests, seed=self.seed, warmup_frac=self.warmup_frac,
-            profile=self.profile, arrival_factory=self.arrival_factory,
+            self.num_requests, seed=self.seed,
+            arrival_factory=self.arrival_factory,
         )
-
-
-@dataclass(frozen=True)
-class ServerJob:
-    """One standalone server run, reduced to the row the ``compare``
-    command prints (full SimResults hold every Request record — far too
-    heavy to ship back through a pipe or store in the cache)."""
-
-    machine: Any
-    config: Any
-    workload: Any
-    load_rps: float
-    num_requests: int
-    seed: int = 1
-    warmup_frac: float = 0.1
-
-    def run(self):
-        from repro.core.server import Server
-        from repro.metrics.slowdown import summarize_slowdowns
-        from repro.workloads.arrivals import PoissonProcess
-
-        server = Server(self.machine, self.config, seed=self.seed)
-        result = server.run(
-            self.workload, PoissonProcess(self.load_rps), self.num_requests
-        )
-        summary = summarize_slowdowns(result.slowdowns(self.warmup_frac))
-        return {
-            "name": self.config.name,
-            "p50": summary.p50,
-            "p99": summary.p99,
-            "p999": summary.p999,
-            "mean": summary.mean,
-            "meets_slo": summary.meets_slo(),
-            "dispatcher_utilization": result.dispatcher_utilization(),
-            "steal_completions":
-                result.dispatcher_stats["steal_completions"],
-            "completed": len(result.records),
-            "drained": result.drained,
-        }
 
 
 @dataclass(frozen=True)
 class RackJob:
-    """One rack-scale cluster run, reduced to the rack-wide summary row
-    the cluster experiments and the ``rack`` command consume."""
-
-    machine: Any
-    config: Any
-    num_servers: int
-    policy: str
-    workload: Any
-    load_rps: float
-    num_requests: int
-    seed: int = 1
-    warmup_frac: float = 0.1
-    fabric: Optional[Any] = None
-    max_events: int = 120_000_000
-
-    def run(self):
-        from repro.cluster import Cluster
-        from repro.workloads.arrivals import PoissonProcess
-
-        cluster = Cluster(
-            self.machine, self.config, self.num_servers, policy=self.policy,
-            seed=self.seed, fabric=self.fabric,
-        )
-        result = cluster.run(
-            self.workload, PoissonProcess(self.load_rps), self.num_requests,
-            max_events=self.max_events,
-        )
-        summary = result.summary(self.warmup_frac)
-        return {
-            "policy": self.policy,
-            "config": self.config.name,
-            "p50": summary.p50,
-            "p99": summary.p99,
-            "p999": summary.p999,
-            "mean": summary.mean,
-            "imbalance": result.imbalance(),
-            "drained": result.drained,
-            "completed": len(result.records),
-        }
-
-
-@dataclass(frozen=True)
-class FaultJob:
-    """One faulted (or resilient) rack run, reduced to the degradation-curve
-    row the fault experiments consume.
+    """One rack-scale cluster run, reduced to the rack-wide summary row the
+    cluster and fault experiments and the ``rack`` and ``faults`` commands
+    consume.
 
     ``fault_plan`` / ``resilience`` are frozen dataclasses of plain floats
-    and ints, so the job pickles and caches exactly like :class:`RackJob`;
-    with both left ``None`` it produces the same simulation as a
-    :class:`RackJob` of the same fields (plus the fault columns zeroed).
+    and ints, so a faulted job pickles and caches like a clean one; with
+    both left ``None`` the fault columns read zero.
     """
 
     machine: Any
@@ -148,11 +67,9 @@ class FaultJob:
     load_rps: float
     num_requests: int
     seed: int = 1
-    warmup_frac: float = 0.1
     fabric: Optional[Any] = None
     fault_plan: Optional[Any] = None
     resilience: Optional[Any] = None
-    max_events: int = 120_000_000
 
     def run(self):
         from repro.cluster import Cluster
@@ -166,11 +83,11 @@ class FaultJob:
         )
         result = cluster.run(
             self.workload, PoissonProcess(self.load_rps), self.num_requests,
-            max_events=self.max_events,
         )
-        slowdowns = result.slowdowns(self.warmup_frac)
+        slowdowns = result.slowdowns()
         summary = summarize_slowdowns(slowdowns) if slowdowns else None
         mttr = result.mttr_us
+        faults = result.fault_stats
         return {
             "policy": self.policy,
             "config": self.config.name,
@@ -182,7 +99,7 @@ class FaultJob:
             "p999": summary.p999 if summary else float("nan"),
             "mean": summary.mean if summary else float("nan"),
             "goodput": result.goodput(),
-            "slo_goodput": result.slo_goodput(self.warmup_frac),
+            "slo_goodput": result.slo_goodput(),
             "imbalance": result.imbalance(),
             "completed": len(result.records),
             "offered": result.num_offered,
@@ -195,5 +112,6 @@ class FaultJob:
             "retries": result.retries,
             "hedges": result.hedges,
             "timeouts": result.timeouts,
+            "reports_dropped": faults["reports_dropped"] if faults else 0,
             "mttr_us": max(mttr) if mttr else float("nan"),
         }

@@ -7,6 +7,5 @@ streams.  Higher layers (:mod:`repro.core`) build scheduler agents on top.
 
 from repro.sim.engine import Event, Simulator, SimulationError
 from repro.sim.rng import RngStreams
-from repro.sim.process import Agent
 
-__all__ = ["Event", "Simulator", "SimulationError", "RngStreams", "Agent"]
+__all__ = ["Event", "Simulator", "SimulationError", "RngStreams"]

@@ -31,8 +31,8 @@ from repro.core.presets import concord, shinjuku  # noqa: E402
 from repro.faults import ResilienceConfig, crash_plan  # noqa: E402
 from repro.hardware import c6420  # noqa: E402
 from repro.parallel import (  # noqa: E402
-    FaultJob,
     ParallelRunner,
+    RackJob,
     ResultCache,
     SimJob,
     SweepInterrupted,
@@ -77,10 +77,10 @@ def fault_jobs(num_requests):
     load = 0.6 * 2 * 2 * 1e6 / workload.mean_us()
     plan = crash_plan(2000.0, down_us=1500.0, server=1)
     return [
-        FaultJob(machine=machine, config=concord(5.0), num_servers=2,
-                 policy="jsq", workload=workload, load_rps=load,
-                 num_requests=num_requests, seed=7,
-                 fault_plan=fault_plan, resilience=resilience)
+        RackJob(machine=machine, config=concord(5.0), num_servers=2,
+                policy="jsq", workload=workload, load_rps=load,
+                num_requests=num_requests, seed=7,
+                fault_plan=fault_plan, resilience=resilience)
         for fault_plan, resilience in (
             (None, None),
             (plan, None),

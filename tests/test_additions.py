@@ -1,4 +1,4 @@
-"""Tests for the MMPP arrival process, time series, and the IR printer."""
+"""Tests for the MMPP arrival process and the IR printer."""
 
 import random
 
@@ -18,7 +18,6 @@ from repro.instrument.printer import (
     dump_module,
     parse_module,
 )
-from repro.metrics.timeseries import TimeSeries
 from repro.workloads import PoissonProcess, fixed_1us
 from repro.workloads.arrivals import MarkovModulatedPoisson
 
@@ -80,36 +79,6 @@ class TestMMPP:
         smooth_tail = summarize_slowdowns(smooth.slowdowns()).p999
         bursty_tail = summarize_slowdowns(bursty.slowdowns()).p999
         assert bursty_tail > smooth_tail
-
-
-class TestTimeSeries:
-    def make_result(self):
-        server = Server(c6420(4), persephone_fcfs(), seed=0)
-        return server.run(fixed_1us(), PoissonProcess(1_000_000), 5000)
-
-    def test_throughput_series_sums_to_completions(self):
-        result = self.make_result()
-        series = TimeSeries.from_result(result, window_us=500.0)
-        total = sum(
-            tp * 500.0 / 1e6 for _start, tp in series.throughput_series()
-        )
-        assert total == pytest.approx(len(result.records), rel=0.01)
-
-    def test_tail_series_has_one_point_per_window(self):
-        result = self.make_result()
-        series = TimeSeries.from_result(result, window_us=500.0)
-        assert len(series.tail_slowdown_series()) == len(series)
-        for _start, value in series.tail_slowdown_series(p=99.0):
-            assert value >= 1.0
-
-    def test_peak_to_mean(self):
-        result = self.make_result()
-        series = TimeSeries.from_result(result, window_us=200.0)
-        assert series.peak_to_mean_throughput() >= 1.0
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            TimeSeries(0, c6420().clock)
 
 
 class TestIRPrinter:

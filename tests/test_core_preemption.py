@@ -101,15 +101,15 @@ class TestCacheLineCooperation:
             == constants.COOP_CONTEXT_SWITCH_CYCLES
         )
 
-    def test_attach_profile_changes_notice(self):
+    def test_profile_sets_notice_and_overhead(self):
         class StubProfile:
             overhead_fraction = 0.01
 
             def sample_gap_cycles(self, rng):
                 return 10_000
 
-        mech = CacheLineCooperation()
-        mech.attach_profile(StubProfile())
+        mech = CacheLineCooperation(profile=StubProfile())
+        assert mech.proc_overhead == 0.01
         r = rng(2)
         delays = [mech.notice_delay_cycles(r) for _ in range(200)]
         assert max(delays) > constants.PROBE_INTERVAL_CYCLES

@@ -12,6 +12,7 @@ The load-bearing properties:
 """
 
 import gc
+import math
 import pickle
 
 import pytest
@@ -33,7 +34,7 @@ from repro.faults import (
     stall_plan,
 )
 from repro.hardware import c6420
-from repro.parallel import FaultJob, ParallelRunner, RackJob
+from repro.parallel import ParallelRunner, RackJob
 from repro.workloads import PoissonProcess, bimodal_50_1_50_100
 
 SEED = 11
@@ -147,21 +148,21 @@ class TestFaultFreeNeutrality:
         assert result.mttr_us == []
         assert result.goodput() == 1.0
 
-    def test_faultjob_without_plan_matches_rackjob(self):
+    def test_rackjob_without_plan_zeroes_fault_columns(self):
         workload = bimodal_50_1_50_100()
-        load = 0.6 * rack_capacity_rps(workload)
-        base = dict(
+        row = RackJob(
             machine=c6420(WORKERS), config=concord(QUANTUM_US),
             num_servers=NUM_SERVERS, policy="jsq", workload=workload,
-            load_rps=load, num_requests=800, seed=SEED,
-        )
-        rack_row = RackJob(**base).run()
-        fault_row = FaultJob(**base).run()
-        for key in ("p50", "p99", "p999", "imbalance", "completed",
-                    "drained"):
-            assert fault_row[key] == rack_row[key]
-        assert fault_row["crashes"] == 0
-        assert fault_row["goodput"] == 1.0
+            load_rps=0.6 * rack_capacity_rps(workload), num_requests=800,
+            seed=SEED,
+        ).run()
+        assert row["plan"] is None
+        assert row["drained"] and row["completed"] == row["offered"] == 800
+        for key in ("crashes", "lost", "requeued", "shed", "failed",
+                    "retries", "hedges", "timeouts", "reports_dropped"):
+            assert row[key] == 0, key
+        assert row["goodput"] == 1.0
+        assert math.isnan(row["mttr_us"])
 
 
 # -- determinism --------------------------------------------------------------
@@ -191,7 +192,7 @@ class TestDeterminism:
         workload = bimodal_50_1_50_100()
         load = 0.6 * rack_capacity_rps(workload)
         jobs = [
-            FaultJob(
+            RackJob(
                 machine=c6420(WORKERS), config=concord(QUANTUM_US),
                 num_servers=NUM_SERVERS, policy="jsq", workload=workload,
                 load_rps=load, num_requests=700, seed=seed,
@@ -203,8 +204,8 @@ class TestDeterminism:
         pooled = ParallelRunner(jobs=4).map(jobs)
         assert serial == pooled
 
-    def test_faultjob_is_picklable(self):
-        job = FaultJob(
+    def test_faulted_rackjob_is_picklable(self):
+        job = RackJob(
             machine=c6420(WORKERS), config=concord(QUANTUM_US),
             num_servers=2, policy="jsq", workload=bimodal_50_1_50_100(),
             load_rps=1e5, num_requests=10, seed=1, fault_plan=self.PLAN,
@@ -288,6 +289,23 @@ class TestSignalFaults:
         assert len(dark.records) == dark.num_offered
         assert dark.summary().p999 > clean.summary().p999
         assert dark.fault_stats["reports_dropped"] > 0
+
+    def test_rackjob_row_counts_dropped_reports(self):
+        """The ``reports_dropped`` column ext-faults prints: a blackout
+        cell counts the telemetry reports it swallowed, a clean cell 0."""
+        workload = bimodal_50_1_50_100()
+        base = dict(
+            machine=c6420(WORKERS), config=concord(QUANTUM_US),
+            num_servers=NUM_SERVERS, policy="jsq", workload=workload,
+            load_rps=0.8 * rack_capacity_rps(workload), num_requests=800,
+            seed=SEED,
+        )
+        dark = RackJob(
+            fault_plan=blackout_plan([(500.0, 3000.0)]), **base
+        ).run()
+        clean = RackJob(**base).run()
+        assert dark["reports_dropped"] > 0
+        assert clean["reports_dropped"] == 0
 
     def test_blackout_freezes_report_board(self):
         result = run_rack(plan=blackout_plan([(500.0, 6000.0)]))

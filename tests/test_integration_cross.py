@@ -122,7 +122,7 @@ class TestProfileDrivenScheduling:
         dense = Server(machine, concord(5.0), seed=2).run(
             workload, PoissonProcess(rate), 4000
         )
-        coarse = Server(machine, concord(5.0), seed=2, profile=profile).run(
+        coarse = Server(machine, concord(5.0, profile=profile), seed=2).run(
             workload, PoissonProcess(rate), 4000
         )
         dense_tail = summarize_slowdowns(dense.slowdowns()).p999

@@ -127,7 +127,8 @@ def make_point(load, p999):
     return SweepPoint(
         load_rps=load, p50=1.0, p99=2.0, p999=p999, mean=1.0,
         throughput_rps=load, dispatcher_utilization=0.5,
-        worker_idle_fraction=0.1, steals=0, completed=1000,
+        worker_idle_fraction=0.1, steals=0, steal_completions=0,
+        completed=1000,
     )
 
 

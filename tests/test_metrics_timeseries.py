@@ -1,88 +1,14 @@
-"""Edge-case tests for repro.metrics.timeseries and pooled percentiles.
+"""Edge-case tests for pooled percentiles.
 
-Pins behaviour the figure pipelines rely on but the main metrics tests
-never exercised: empty series, a single sample, duplicate completion
-timestamps landing in one window, and percentile merges over pooled
-inputs of unequal length (how :class:`~repro.cluster.rack.ClusterResult`
-computes rack-wide tails from per-server record lists).
+Pins behaviour the main metrics tests never exercised: percentile merges
+over pooled inputs of unequal length (how
+:class:`~repro.cluster.rack.ClusterResult` computes rack-wide tails from
+per-server record lists).
 """
 
 import pytest
 
-from repro.hardware import c6420
 from repro.metrics.percentile import percentile
-from repro.metrics.timeseries import TimeSeries
-
-CLOCK = c6420(1).clock
-
-
-class FakeRecord:
-    """The minimal record shape TimeSeries consumes."""
-
-    def __init__(self, completion_cycle, slowdown=1.0):
-        self.completion_cycle = completion_cycle
-        self._slowdown = slowdown
-
-    def slowdown(self):
-        return self._slowdown
-
-
-class FakeResult:
-    def __init__(self, records):
-        self.clock = CLOCK
-        self.records = records
-
-
-class TestTimeSeriesEdgeCases:
-    def test_empty_series(self):
-        series = TimeSeries(window_us=100.0, clock=CLOCK)
-        assert len(series) == 0
-        assert list(series.windows()) == []
-        assert series.throughput_series() == []
-        assert series.tail_slowdown_series() == []
-        assert series.peak_to_mean_throughput() == 0.0
-
-    def test_single_sample(self):
-        series = TimeSeries(window_us=100.0, clock=CLOCK)
-        series.add(FakeRecord(CLOCK.us_to_cycles(250.0), slowdown=3.0))
-        ((start, records),) = series.windows()
-        assert start == 200.0  # third 100us window
-        assert len(records) == 1
-        ((_t, throughput),) = series.throughput_series()
-        assert throughput == pytest.approx(1e6 / 100.0)  # 1 per 100us
-        ((_t, tail),) = series.tail_slowdown_series(p=99.0)
-        assert tail == 3.0
-        assert series.peak_to_mean_throughput() == pytest.approx(1.0)
-
-    def test_duplicate_timestamps_share_a_bucket(self):
-        series = TimeSeries(window_us=50.0, clock=CLOCK)
-        cycle = CLOCK.us_to_cycles(75.0)
-        for slowdown in (1.0, 2.0, 9.0):
-            series.add(FakeRecord(cycle, slowdown=slowdown))
-        assert len(series) == 1
-        ((start, records),) = series.windows()
-        assert start == 50.0
-        assert len(records) == 3
-        ((_t, tail),) = series.tail_slowdown_series(p=100.0)
-        assert tail == 9.0
-
-    def test_windows_yield_in_time_order(self):
-        series = TimeSeries(window_us=10.0, clock=CLOCK)
-        for us in (95.0, 5.0, 45.0):
-            series.add(FakeRecord(CLOCK.us_to_cycles(us)))
-        starts = [start for start, _records in series.windows()]
-        assert starts == [0.0, 40.0, 90.0]
-
-    def test_from_result_matches_manual_adds(self):
-        records = [FakeRecord(CLOCK.us_to_cycles(us)) for us in (5.0, 15.0)]
-        series = TimeSeries.from_result(FakeResult(records), window_us=10.0)
-        assert len(series) == 2
-
-    def test_rejects_nonpositive_window(self):
-        with pytest.raises(ValueError):
-            TimeSeries(window_us=0, clock=CLOCK)
-        with pytest.raises(ValueError):
-            TimeSeries(window_us=-5.0, clock=CLOCK)
 
 
 class TestPooledPercentileMerge:

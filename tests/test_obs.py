@@ -608,15 +608,15 @@ class TestDifferentialCluster:
 
 class TestRunnerTelemetry:
     def make_jobs(self, n=2):
-        from repro.parallel import ServerJob
+        from repro.parallel import SimJob
 
         workload = bimodal_50_1_50_100()
         machine = c6420(2)
         load = 0.5 * 2 * 1e6 / workload.mean_us()
         return [
-            ServerJob(machine=machine, config=concord(QUANTUM_US),
-                      workload=workload, load_rps=load, num_requests=200,
-                      seed=seed)
+            SimJob(machine=machine, config=concord(QUANTUM_US),
+                   workload=workload, load_rps=load, num_requests=200,
+                   seed=seed)
             for seed in range(1, n + 1)
         ]
 

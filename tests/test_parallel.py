@@ -17,7 +17,7 @@ from repro.core.config import RuntimeConfig
 from repro.core.presets import concord, shinjuku
 from repro.experiments.common import load_grid, sweep_systems
 from repro.hardware import c6420
-from repro.metrics.sweep import LoadSweep
+from repro.metrics.sweep import run_sweep_point
 from repro.parallel import (
     ParallelRunner,
     ResultCache,
@@ -85,11 +85,11 @@ def _loads():
 
 
 def _sweep_points(runner):
-    sweeps = sweep_systems(
-        _machine(), _configs(), bimodal_50_1_50_100(), _loads(),
-        NUM_REQUESTS, seed=7, runner=runner,
-    )
-    return {name: list(sweep.points) for name, sweep in sweeps.items()}
+    with using_runner(runner):
+        return sweep_systems(
+            _machine(), _configs(), bimodal_50_1_50_100(), _loads(),
+            NUM_REQUESTS, seed=7,
+        )
 
 
 class TestDeterminism:
@@ -104,16 +104,20 @@ class TestDeterminism:
             assert serial[name] == two[name]
             assert serial[name] == four[name]
 
-    def test_loadsweep_runner_path_matches_run_point(self):
+    def test_pooled_simjobs_match_run_sweep_point(self):
         machine, workload = _machine(), bimodal_50_1_50_100()
         loads = _loads()
-        a = LoadSweep(machine, shinjuku(5.0), workload,
-                      num_requests=NUM_REQUESTS, seed=3)
-        a.run(loads)
-        b = LoadSweep(machine, shinjuku(5.0), workload,
-                      num_requests=NUM_REQUESTS, seed=3)
-        b.run(loads, runner=ParallelRunner(jobs=2))
-        assert a.points == b.points
+        serial = [
+            run_sweep_point(machine, shinjuku(5.0), workload, load,
+                            NUM_REQUESTS, seed=3)
+            for load in loads
+        ]
+        pooled = ParallelRunner(jobs=2).map([
+            SimJob(machine=machine, config=shinjuku(5.0), workload=workload,
+                   load_rps=load, num_requests=NUM_REQUESTS, seed=3)
+            for load in loads
+        ])
+        assert serial == pooled
 
     def test_map_preserves_input_order(self):
         machine, workload = _machine(), bimodal_50_1_50_100()

@@ -461,49 +461,6 @@ class TestCancellationAccounting:
         assert sim.dead_in_heap == COMPACT_MIN_DEAD - 1
 
 
-class TestAgent:
-    """The serial-resource helper used to model pinned threads."""
-
-    def test_busy_for_serializes_work(self):
-        from repro.sim.process import Agent
-
-        sim = Simulator()
-        agent = Agent(sim, "thread")
-        first_end = agent.busy_for(100)
-        second_end = agent.busy_for(50)
-        assert first_end == 100
-        assert second_end == 150  # queued behind the first operation
-        assert agent.busy_cycles == 150
-
-    def test_when_free_and_is_busy(self):
-        from repro.sim.process import Agent
-
-        sim = Simulator()
-        agent = Agent(sim, "thread")
-        assert not agent.is_busy
-        agent.busy_for(10)
-        assert agent.is_busy
-        assert agent.when_free() == 10
-
-    def test_start_floor_and_utilization(self):
-        from repro.sim.process import Agent
-
-        sim = Simulator()
-        agent = Agent(sim, "thread")
-        end = agent.busy_for(10, start=40)
-        assert end == 50
-        assert agent.utilization(100) == 0.1
-        assert agent.utilization(0) == 0.0
-
-    def test_negative_busy_rejected(self):
-        import pytest as _pytest
-
-        from repro.sim.process import Agent
-
-        with _pytest.raises(ValueError):
-            Agent(Simulator(), "t").busy_for(-1)
-
-
 # -- differentials against a reference scheduler -----------------------------
 
 
