@@ -1,18 +1,20 @@
 """The rack's load-balancer agent.
 
-One balancer fronts N servers: it generates the rack's open-loop arrival
-stream (so the *same* arrival randomness hits every policy under test —
-common random numbers at rack scale), consults its inter-server policy for
-each request, and ships the request across the fabric to the chosen
-server's :meth:`~repro.core.server.Server.deliver` seam.  Completions
+One balancer fronts N servers: it draws the rack's open-loop arrival
+stream (:func:`~repro.workloads.arrivals.open_loop` on its own streams, so
+the *same* arrival randomness hits every policy under test — common random
+numbers at rack scale), consults its inter-server policy for each request,
+and ships the request across the fabric to the chosen server's
+:meth:`~repro.core.server.Server.deliver`.  Completions
 travel back across one hop; in counter-telemetry mode their landing is what
 decrements the balancer's queue view.
 """
 
 import functools
 
-from repro.core.request import Request
+from repro.core.request import ArrivalFeed
 from repro.cluster.network import TelemetryBoard
+from repro.workloads.arrivals import open_loop
 
 __all__ = ["LoadBalancer"]
 
@@ -61,9 +63,6 @@ class LoadBalancer:
         #: Replies that have landed back at the balancer.
         self.replies = 0
         self.num_requests = 0
-        self._workload = None
-        self._arrival = None
-        self._t_us = 0.0
         #: Probe bus for rack-level routing/reply events (observability
         #: layer); None = the zero-overhead default.  The rack installs one
         #: when a trace session is active.
@@ -86,37 +85,26 @@ class LoadBalancer:
         if num_requests < 1:
             raise ValueError("need at least one request")
         self.num_requests = num_requests
-        self._workload = workload
-        self._arrival = arrival
-        self._schedule_next()
+        ArrivalFeed(
+            self.sim, self.clock,
+            open_loop(workload, arrival, num_requests, self.rng_arrival,
+                      self.rng_service),
+            self._admit,
+        )
         self._start_telemetry()
         if self.resilience is not None:
             self.resilience.start()
 
-    def _schedule_next(self):
-        self._t_us += self._arrival.next_gap_us(self.rng_arrival)
-        cycle = self.clock.us_to_cycles(self._t_us)
-        self.sim.post_at(max(cycle, self.sim.now), self._fire, "lb-arrival")
-
-    def _fire(self):
-        kind, service_us = self._workload.sample_class(self.rng_service)
-        service_cycles = max(1, self.clock.us_to_cycles(service_us))
-        request = Request(
-            rid=self.offered,
-            kind=kind,
-            arrival_cycle=None,
-            service_cycles=service_cycles,
-            service_us=service_us,
-            payload={},
-        )
+    def _admit(self, request):
+        """One offered request reaches the balancer: route it, or hand it
+        to the resilience manager."""
+        request.payload = {}
         self.offered += 1
         manager = self.resilience
         if manager is None:
             self._route_and_send(request)
         else:
             manager.on_arrival(request)
-        if self.offered < self.num_requests:
-            self._schedule_next()
 
     def _choose(self, exclude=None):
         """Pick a server via the policy; ``exclude`` (suspected/crashed

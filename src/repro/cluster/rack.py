@@ -158,16 +158,20 @@ class ClusterResult(SimResult):
         self.policy_name = cluster.policy.name
         self.num_servers = cluster.num_servers
         self.fabric = cluster.fabric
-        #: Records dropped because a retry/hedge duplicate of the same
-        #: logical request already completed earlier (first reply wins).
+        #: Server completions dropped because they do not count for a
+        #: logical request: a retry/hedge duplicate of one that already
+        #: completed (first reply wins), or a late attempt of one the
+        #: balancer had already given up on as failed.
         self.duplicate_records = 0
         if balancer.resilience is not None:
+            table = balancer.resilience.table
             seen = set()
             unique = []
             for record in self.records:
-                if record.rid in seen:
+                rid = record.rid
+                if rid in seen or not table[rid].done:
                     continue
-                seen.add(record.rid)
+                seen.add(rid)
                 unique.append(record)
             self.duplicate_records = len(self.records) - len(unique)
             self.records = unique

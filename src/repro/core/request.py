@@ -1,6 +1,7 @@
-"""Request objects tracked through the simulated server."""
+"""Request objects tracked through the simulated server, and the feed that
+posts an open-loop request stream on the event loop."""
 
-__all__ = ["Request"]
+__all__ = ["Request", "ArrivalFeed"]
 
 
 class Request:
@@ -81,3 +82,43 @@ class Request:
                 self.preemptions,
             )
         )
+
+
+class ArrivalFeed:
+    """Posts a stream of ``(arrival_us, kind, service_us)`` (e.g.
+    :func:`repro.workloads.arrivals.open_loop`) on ``sim``, one request at a
+    time, and hands each :class:`Request` to ``deliver`` when its arrival
+    fires.
+
+    Building the feed posts the first arrival; the event queue then holds
+    the feed.  The next item is pulled only after ``deliver`` returns, so
+    the stream draws in arrival order and the next arrival is posted after
+    whatever ``deliver`` posts.  Requests get their stream position as ``rid``;
+    their ``arrival_cycle`` is left for ``deliver`` to stamp.
+    """
+
+    __slots__ = ("_sim", "_to_cycles", "_stream", "_deliver")
+
+    def __init__(self, sim, clock, stream, deliver):
+        self._sim = sim
+        self._to_cycles = clock.us_to_cycles
+        self._stream = enumerate(stream)
+        self._deliver = deliver
+        self._post_next()
+
+    def _post_next(self):
+        for rid, (t_us, kind, service_us) in self._stream:
+            to_cycles = self._to_cycles
+            request = Request(
+                rid, kind, None, max(1, to_cycles(service_us)), service_us
+            )
+            cycle = to_cycles(t_us)
+            now = self._sim.now
+            self._sim.post_at(
+                cycle if cycle > now else now, self._fire, "arrival", request
+            )
+            return
+
+    def _fire(self, request):
+        self._deliver(request)
+        self._post_next()

@@ -5,12 +5,14 @@ generates open-loop arrivals, runs the event loop to completion, and returns
 a :class:`SimResult` with every completed request plus agent-level counters.
 Servers are single-shot: build a fresh one per simulated run (they are cheap).
 
-Arrival generation is a *separable source*: :meth:`Server.run` builds the
-default open-loop source and feeds it to :meth:`Server.run_source`, which
-accepts any lazily-pulled iterator of ``(arrival_us, request)`` pairs.
-External agents (the rack-scale layer in :mod:`repro.cluster`) bypass the
-source machinery entirely and push requests in with :meth:`Server.deliver`,
-sharing one :class:`~repro.sim.engine.Simulator` across many servers.
+Every request enters through :meth:`Server.deliver`.  :meth:`Server.run`
+draws the paper's open-loop client (:func:`~repro.workloads.arrivals.open_loop`)
+on the server's own streams and :meth:`Server.run_trace` replays a recorded
+trace; both post their stream through an
+:class:`~repro.core.request.ArrivalFeed` whose deliver step is
+:meth:`Server.deliver`.  The rack-scale layer (:mod:`repro.cluster`) builds
+its servers on one shared :class:`~repro.sim.engine.Simulator` and its
+balancer calls ``deliver`` on the server it routes each request to.
 
 Every runtime shares this shell.  Runtimes differ only in
 :meth:`Server._build_agents`: the logical-queue runtime
@@ -23,11 +25,12 @@ from repro import constants
 from repro.core.dispatcher import Dispatcher
 from repro.core.policies import make_policy
 from repro.core.preemption import NoPreemption
-from repro.core.request import Request
+from repro.core.request import ArrivalFeed
 from repro.core.worker import Worker
 from repro.obs.session import resolve_probes
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
+from repro.workloads.arrivals import open_loop
 
 __all__ = ["Server", "SimResult", "RunLimitExceeded", "pooled"]
 
@@ -279,13 +282,11 @@ class Server:
         #: targets this server.
         self.faults = None
         self._ran = False
-        #: Arrivals injected so far (any source), and the first and last
-        #: arrival instants.
+        #: Requests delivered so far, and the first and last arrival
+        #: instants.
         self._arrival_count = 0
         self._first_arrival = None
         self._last_arrival = None
-        #: The arrival iterator :meth:`run_source` pulls from.
-        self._source = None
         self._build_agents()
 
     def _build_agents(self):
@@ -330,17 +331,18 @@ class Server:
         if self.on_complete is not None:
             self.on_complete(request)
 
-    # -- the arrival seam -------------------------------------------------------------------
+    # -- arrivals ---------------------------------------------------------------------------
 
     def deliver(self, request):
-        """Inject an externally-generated ``request`` *now*.
+        """Admit ``request`` *now*: every arrival enters the server here.
 
-        This is the seam the rack-scale layer (:mod:`repro.cluster`) plugs
-        into: the load balancer builds the request, models the network hop,
-        and calls ``deliver`` on the chosen server at the delivery instant.
-        ``request.arrival_cycle`` is stamped here (unless already set) so
-        slowdowns measure the server sojourn, exactly as in the
-        single-server runs.
+        :meth:`run` and :meth:`run_trace` deliver through an
+        :class:`~repro.core.request.ArrivalFeed`; in a rack
+        (:mod:`repro.cluster`) the load balancer models the network hop and
+        calls ``deliver`` on the chosen server at the delivery instant.
+        ``request.arrival_cycle`` is stamped here (unless already set, as
+        for a request re-routed after a crash) so slowdowns measure the
+        server sojourn.
         """
         faults = self.faults
         if faults is not None and faults.down:
@@ -373,47 +375,6 @@ class Server:
             n -= faults.lost_inflight
         return n
 
-    @property
-    def num_delivered(self):
-        """Total arrivals injected so far (any source)."""
-        return self._arrival_count
-
-    def build_request(self, rid, workload):
-        """Sample one request from ``workload`` using this server's service
-        stream (and the application's refinement, if any)."""
-        kind, service_us = workload.sample_class(self.rng_service)
-        if self.app is not None:
-            service_us = self.app.service_time_us(
-                kind, service_us, self.rng_service
-            )
-        return self.request_from_sample(rid, kind, service_us)
-
-    def request_from_sample(self, rid, kind, service_us):
-        """Build a not-yet-arrived :class:`Request` from explicit values;
-        ``arrival_cycle`` is stamped by :meth:`deliver`."""
-        service_cycles = max(1, self.clock.us_to_cycles(service_us))
-        return Request(
-            rid=rid,
-            kind=kind,
-            arrival_cycle=None,
-            service_cycles=service_cycles,
-            service_us=service_us,
-        )
-
-    def arrival_source(self, workload, arrival, num_requests):
-        """The default open-loop source: lazily yields ``(arrival_us,
-        request)`` pairs, drawing gaps from ``arrival`` and classes from
-        ``workload``.
-
-        Laziness matters: :meth:`run_source` pulls the next pair only after
-        the previous arrival fires, so closed-loop processes (zero gaps,
-        paced by completions) keep their semantics.
-        """
-        t_us = 0.0
-        for rid in range(num_requests):
-            t_us += arrival.next_gap_us(self.rng_arrival)
-            yield t_us, self.build_request(rid, workload)
-
     # -- running ---------------------------------------------------------------------------
 
     def run(self, workload, arrival, num_requests, until_us=None,
@@ -436,42 +397,18 @@ class Server:
         """
         if num_requests < 1:
             raise ValueError("need at least one request")
-        return self.run_source(
-            self.arrival_source(workload, arrival, num_requests),
-            expected=num_requests, until_us=until_us, max_events=max_events,
+        stream = open_loop(
+            workload, arrival, num_requests, self.rng_arrival,
+            self.rng_service,
         )
-
-    def run_source(self, source, expected=None, until_us=None,
-                   max_events=60_000_000):
-        """Drive the server from an injectable arrival source.
-
-        ``source`` is any iterator of ``(arrival_us, request)`` pairs with
-        non-decreasing times; it is pulled *lazily* — the next pair is
-        requested only after the previous arrival fires, so sources may
-        react to simulation state.  ``expected`` is the number of arrivals
-        the source will produce (used for the drain check); when None, the
-        run counts whatever the source yielded.
-        """
-        self._claim_run()
-        self._source = iter(source)
-        self._schedule_arrival()
-        return self._drain(expected, until_us, max_events)
-
-    def _schedule_arrival(self):
-        """Pull the next pair from the source and post its arrival."""
-        try:
-            t_us, request = next(self._source)
-        except StopIteration:
-            return
-        cycle = self.clock.us_to_cycles(t_us)
-        now = self.sim.now
-        self.sim.post_at(
-            cycle if cycle > now else now, self._fire, "arrival", request
-        )
-
-    def _fire(self, request):
-        self.deliver(request)
-        self._schedule_arrival()
+        app = self.app
+        if app is not None:
+            rng = self.rng_service
+            stream = (
+                (t_us, kind, app.service_time_us(kind, service_us, rng))
+                for t_us, kind, service_us in stream
+            )
+        return self._run(stream, num_requests, until_us, max_events)
 
     def run_trace(self, trace, until_us=None, max_events=60_000_000):
         """Replay a recorded :class:`~repro.workloads.trace.Trace` exactly:
@@ -480,27 +417,19 @@ class Server:
         comparison (stronger than common random numbers)."""
         if not len(trace):
             raise ValueError("empty trace")
-
-        def source():
-            for rid, record in enumerate(trace):
-                yield record.arrival_us, self.request_from_sample(
-                    rid, record.kind, record.service_us
-                )
-
-        return self.run_source(
-            source(), expected=len(trace), until_us=until_us,
-            max_events=max_events,
+        stream = (
+            (record.arrival_us, record.kind, record.service_us)
+            for record in trace
         )
+        return self._run(stream, len(trace), until_us, max_events)
 
-    def collect_result(self, drained=None, num_offered=None):
+    def collect_result(self, drained=None):
         """Build a :class:`SimResult` from the server's current state.
 
-        The single-server paths call this through :meth:`_drain`; in a
+        The single-server paths call this through :meth:`_run`; in a
         multi-server simulation the rack runs the shared event loop itself
         and calls ``collect_result`` on each member afterwards.
         """
-        if num_offered is None:
-            num_offered = self._arrival_count
         if drained is None:
             drained = len(self.completed) == self._arrival_count
         if self.probes is not None:
@@ -531,23 +460,23 @@ class Server:
                 "steal_completions": d.steal_completions,
                 "steal_busy_cycles": d.steal_busy_cycles,
             },
-            num_offered=num_offered,
+            num_offered=self._arrival_count,
             first_arrival=self._first_arrival or 0,
             last_arrival=self._last_arrival or 0,
             end_cycle=self.sim.now,
             drained=drained,
         )
 
-    def _claim_run(self):
+    def _run(self, stream, expected, until_us, max_events):
+        """Post ``stream`` (``expected`` requests) through
+        :meth:`deliver`, run the event loop to drain (or to ``until_us``)
+        and collect the result."""
         if self._ran:
             raise RuntimeError("Server instances are single-shot; build a new one")
         self._ran = True
-
-    def _drain(self, expected, until_us, max_events):
+        ArrivalFeed(self.sim, self.clock, stream, self.deliver)
         until = self.clock.us_to_cycles(until_us) if until_us is not None else None
         self.sim.run(until=until, max_events=max_events)
-        if expected is None:
-            expected = self._arrival_count
         drained = len(self.completed) == expected
         if not drained and until is None:
             if self.sim.pending:

@@ -5,20 +5,24 @@ assume a healthy rack; this experiment measures what their conclusions are
 worth when the rack misbehaves, using :mod:`repro.faults`:
 
 * **Part 1 — telemetry blackout degradation curves.**  A blackout freezes
-  the balancer's queue view mid-run; queue-aware policies (JSQ, SED) herd
+  the balancer's queue view mid-run; a queue-aware policy (JSQ) herds
   onto whichever server looked shortest at freeze time and the rack-wide
   tail explodes even though *no request is ever lost*.  We sweep blackout
   intensity (fraction of the run blacked out) and plot p99.9 slowdown and
   SLO-goodput (fraction of requests completing within the slowdown SLO).
 
-* **Part 2 — crash-and-recover: resilience mechanisms x routing policy.**
+* **Part 2 — crash-and-recover: resilience mechanisms.**
   One server crashes mid-run and recovers later.  Without resilience its
   in-flight and newly-routed requests are simply lost; with the failure
   detector + timeout/retry (optionally + hedging) the balancer blacklists
   the suspect, re-launches timed-out requests elsewhere, and goodput is
   restored.  Rows report completion-goodput, MTTR (crash onset to first
   post-recovery reply), and the retry/hedge/failure counters — the
-  recovery-timeline view per (policy x mechanism).
+  recovery-timeline view per mechanism.
+
+Both parts route with JSQ only: the rack's servers are identical, where
+shortest-expected-delay ranks servers exactly as JSQ does and gives the
+same records (``tests/test_cluster.py``, ``tests/test_faults.py``).
 
 Acceptance (ROADMAP): the no-resilience crash run visibly loses goodput,
 and detector+retry restores >= 90% of the fault-free goodput.
@@ -38,8 +42,8 @@ WORKERS_PER_SERVER = 4
 LOAD_FRACTION = 0.8
 #: Fraction of the run's span blacked out (Part 1 intensity grid).
 BLACKOUT_INTENSITIES = [0.0, 0.1, 0.25, 0.5]
-BLACKOUT_POLICIES = ["jsq", "sed"]
-CRASH_POLICIES = ["jsq", "sed"]
+BLACKOUT_POLICIES = ["jsq"]
+CRASH_POLICIES = ["jsq"]
 
 #: Rack width per quality preset (mirrors ext-cluster).
 RACK_SIZES = {"smoke": 2, "standard": 4, "full": 6}
@@ -146,7 +150,7 @@ def run(quality="standard", seed=1):
     recovery = ExperimentResult(
         experiment_id="ext-faults-crash",
         title="Crash-and-recover ({:.0f}us down) at {:.0%} load: goodput "
-              "and MTTR per policy x resilience mechanism".format(
+              "and MTTR per resilience mechanism".format(
                   down_for, LOAD_FRACTION),
         headers=["policy", "mechanism", "goodput", "slo_goodput", "p999",
                  "mttr_us", "lost", "retries", "hedges", "failed"],

@@ -17,9 +17,9 @@ from repro.workloads.distributions import (
 )
 from repro.workloads.arrivals import (
     ArrivalProcess,
-    ClosedLoopProcess,
     DeterministicProcess,
     PoissonProcess,
+    open_loop,
 )
 from repro.workloads.named import (
     bimodal_50_1_50_100,
@@ -42,9 +42,9 @@ __all__ = [
     "RequestClass",
     "Uniform",
     "ArrivalProcess",
-    "ClosedLoopProcess",
     "DeterministicProcess",
     "PoissonProcess",
+    "open_loop",
     "bimodal_50_1_50_100",
     "bimodal_995_05_500",
     "fixed_1us",

@@ -1,16 +1,18 @@
-"""Arrival processes for the open-loop load generator.
+"""Arrival processes and the open-loop load generator.
 
 The paper's client "sends requests according to a Poisson process"
 (section 5.1) in an open loop: arrivals do not slow down when the server
 queues grow, which is what makes tail latency explode past saturation.
+:func:`open_loop` is that client; every run shape (one server, replicated
+partitions, the rack balancer) draws its requests from it.
 """
 
 __all__ = [
     "ArrivalProcess",
     "PoissonProcess",
     "DeterministicProcess",
-    "ClosedLoopProcess",
     "MarkovModulatedPoisson",
+    "open_loop",
 ]
 
 
@@ -127,24 +129,17 @@ class MarkovModulatedPoisson(ArrivalProcess):
                     self._rate_rps, self.burst_factor, self.burst_fraction)
 
 
-class ClosedLoopProcess(ArrivalProcess):
-    """A degenerate process used by closed-loop experiments (e.g. the
-    back-to-back 500 µs requests of Figs. 2, 12, 15): the next request is
-    injected as soon as the previous one completes, so the 'gap' is zero and
-    the server layer paces admission itself.
+def open_loop(workload, arrival, n, gap_rng, class_rng):
+    """Yield ``n`` open-loop requests as ``(arrival_us, kind, service_us)``.
+
+    Each request draws its gap from ``arrival`` on ``gap_rng``, then its
+    class from ``workload`` on ``class_rng``; arrival instants are the
+    running sum of the gaps.  Pass one rng as both to interleave the two
+    draws on a single stream.  The generator is lazy, so a consumer that
+    pulls one request per arrival draws in arrival order.
     """
-
-    def __init__(self, in_flight=1):
-        if in_flight < 1:
-            raise ValueError("need at least one in-flight request")
-        self.in_flight = int(in_flight)
-
-    def next_gap_us(self, rng):
-        return 0.0
-
-    @property
-    def rate_rps(self):
-        return float("inf")
-
-    def __repr__(self):
-        return "ClosedLoopProcess(in_flight={})".format(self.in_flight)
+    t_us = 0.0
+    for _ in range(n):
+        t_us += arrival.next_gap_us(gap_rng)
+        kind, service_us = workload.sample_class(class_rng)
+        yield t_us, kind, service_us

@@ -8,6 +8,8 @@ against multiple scheduler configurations, or persist it to disk as CSV.
 import csv
 from dataclasses import dataclass
 
+from repro.workloads.arrivals import open_loop
+
 __all__ = ["TraceRecord", "Trace"]
 
 _HEADER = ("arrival_us", "kind", "service_us")
@@ -38,13 +40,10 @@ class Trace:
     def sample(cls, workload, arrivals, num_requests, rng):
         """Draw ``num_requests`` from ``workload`` with gaps from
         ``arrivals``, both using ``rng``."""
-        records = []
-        now_us = 0.0
-        for _ in range(num_requests):
-            now_us += arrivals.next_gap_us(rng)
-            kind, service_us = workload.sample_class(rng)
-            records.append(TraceRecord(now_us, kind, service_us))
-        return cls(records)
+        return cls(
+            TraceRecord(*request)
+            for request in open_loop(workload, arrivals, num_requests, rng, rng)
+        )
 
     # -- stats -----------------------------------------------------------------
 

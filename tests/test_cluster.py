@@ -42,6 +42,11 @@ def run_rack(policy, load_frac=0.75, fabric=None, config=None, seed=SEED,
     return cluster.run(workload, PoissonProcess(load), num_requests)
 
 
+def record_key(record):
+    return (record.rid, record.arrival_cycle, record.completion_cycle,
+            record.payload["server"], record.preemptions)
+
+
 class TestEndToEnd:
     def test_rack_drains_and_conserves_requests(self):
         result = run_rack("jsq")
@@ -110,8 +115,12 @@ class TestPolicyOrdering:
 
     def test_sed_matches_jsq_on_homogeneous_rack(self):
         # With identical servers, capacity weighting cancels and
-        # shortest-expected-delay degenerates to JSQ.
-        assert run_rack("sed").slowdowns() == run_rack("jsq").slowdowns()
+        # shortest-expected-delay degenerates to JSQ, record for record.
+        sed, jsq = run_rack("sed"), run_rack("jsq")
+        assert [record_key(r) for r in sed.records] == [
+            record_key(r) for r in jsq.records
+        ]
+        assert sed.routed == jsq.routed
 
     def test_two_layer_claim_nonpreemptive_rack_is_worse(self):
         # Inter-server balancing cannot rescue a rack whose members let

@@ -7,12 +7,18 @@ from hypothesis import strategies as st
 
 from repro.core import Server, concord, persephone_fcfs, shinjuku
 from repro.core.presets import concord_no_steal, coop_jbsq, ideal_single_queue
+from repro.core.request import Request
 from repro.models.queueing import mmk_mean_wait
+from repro.sim.engine import Simulator
+from repro.sim.rng import RngStreams
 from repro.workloads import (
     Exponential,
     PoissonProcess,
+    Trace,
+    TraceRecord,
     bimodal_50_1_50_100,
     fixed_1us,
+    open_loop,
 )
 from repro.workloads.distributions import ClassMix, RequestClass
 from repro.hardware import c6420
@@ -126,16 +132,14 @@ class TestQueueingAgreement:
 
 
 class TestArrivalSeam:
-    """The injectable-arrival refactor: run() is now a thin wrapper over
-    run_source(), and external agents can push requests in via deliver()."""
+    """One arrival path: run() and run_trace() post their stream through an
+    ArrivalFeed into deliver(), and a rack's balancer calls deliver()
+    directly on servers sharing one simulator."""
 
-    def test_run_source_with_explicit_pairs(self):
+    def test_run_trace_posts_exact_instants(self):
         server = Server(c6420(2), persephone_fcfs(), seed=0)
-        pairs = [
-            (float(i * 20), server.request_from_sample(i, "fixed", 1.0))
-            for i in range(50)
-        ]
-        result = server.run_source(iter(pairs), expected=50)
+        trace = Trace([TraceRecord(i * 20.0, "fixed", 1.0) for i in range(50)])
+        result = server.run_trace(trace)
         assert result.drained
         assert len(result.records) == 50
         clock = server.clock
@@ -143,25 +147,25 @@ class TestArrivalSeam:
             expected_cycle = clock.us_to_cycles(record.rid * 20.0)
             assert record.arrival_cycle == expected_cycle
 
-    def test_open_loop_source_matches_run(self):
-        # run() must be exactly the default source fed through run_source().
+    def test_run_equals_replay_of_its_open_loop_stream(self):
+        # run() draws open_loop on the server's "arrivals" and "service"
+        # streams; replaying that stream as a trace reproduces the run.
         direct = run(concord(5.0), bimodal_50_1_50_100(), 150_000, 800, seed=4)
-        server = Server(c6420(14), concord(5.0), seed=4)
-        via_source = server.run_source(
-            server.arrival_source(
-                bimodal_50_1_50_100(), PoissonProcess(150_000), 800
-            ),
-            expected=800,
+        streams = RngStreams(4)
+        trace = Trace(
+            TraceRecord(*request)
+            for request in open_loop(
+                bimodal_50_1_50_100(), PoissonProcess(150_000), 800,
+                streams.stream("arrivals"), streams.stream("service"),
+            )
         )
-        assert direct.slowdowns() == via_source.slowdowns()
-        assert direct.dispatcher_stats == via_source.dispatcher_stats
+        replayed = Server(c6420(14), concord(5.0), seed=4).run_trace(trace)
+        assert direct.slowdowns() == replayed.slowdowns()
+        assert direct.dispatcher_stats == replayed.dispatcher_stats
 
     def test_external_delivery_on_shared_simulator(self):
-        # Two servers coexist in one simulation — the seam repro.cluster
-        # plugs into.
-        from repro.sim.engine import Simulator
-        from repro.sim.rng import RngStreams
-
+        # Two servers coexist in one simulation, fed by deliver() alone —
+        # the way repro.cluster drives its members.
         sim = Simulator()
         master = RngStreams(21)
         servers = [
@@ -170,29 +174,34 @@ class TestArrivalSeam:
             for i in range(2)
         ]
         for index, server in enumerate(servers):
+            cycles = server.clock.us_to_cycles(1.0)
             for i in range(20):
-                request = server.request_from_sample(i, "fixed", 1.0)
-                sim.at(
+                request = Request(i, "fixed", None, cycles, 1.0)
+                sim.post_at(
                     server.clock.us_to_cycles(5.0 * i + index),
-                    lambda s=server, r=request: s.deliver(r),
-                    "external",
+                    server.deliver, "external", request,
                 )
         sim.run()
-        for server in servers:
-            assert server.num_delivered == 20
+        for index, server in enumerate(servers):
             assert server.inflight == 0
             result = server.collect_result()
             assert result.drained
-            assert len(result.records) == 20
+            assert result.num_offered == 20
+            assert sorted(r.rid for r in result.records) == list(range(20))
+            assert result.first_arrival_cycle == server.clock.us_to_cycles(
+                float(index)
+            )
 
     def test_inflight_tracks_delivered_minus_completed(self):
         server = Server(c6420(2), persephone_fcfs(), seed=0)
         assert server.inflight == 0
-        request = server.request_from_sample(0, "fixed", 10.0)
-        server.deliver(request)
-        assert server.inflight == 1
+        cycles = server.clock.us_to_cycles(10.0)
+        server.deliver(Request(0, "fixed", None, cycles, 10.0))
+        server.deliver(Request(1, "fixed", None, cycles, 10.0))
+        assert server.inflight == 2
         server.sim.run()
         assert server.inflight == 0
+        assert len(server.completed) == 2
 
     def test_completion_hook_fires_per_request(self):
         server = Server(c6420(2), persephone_fcfs(), seed=0)
@@ -201,6 +210,7 @@ class TestArrivalSeam:
         server.run(fixed_1us(), PoissonProcess(100_000), 100)
         assert len(seen) == 100
         assert {r.rid for r in seen} == set(range(100))
+        assert seen == server.completed
 
 
 class TestJBSQ:

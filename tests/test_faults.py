@@ -278,6 +278,36 @@ class TestCrash:
 # -- blackout / degradation / stall / dropout ---------------------------------
 
 
+class TestSedMatchesJsq:
+    """On a rack of identical servers shortest-expected-delay ranks servers
+    exactly like JSQ (fault-free: ``tests/test_cluster.py``), so ext-faults
+    runs JSQ alone: every record and counter agrees under its faults too."""
+
+    @pytest.mark.parametrize("plan, resilience", [
+        (blackout_plan([(500.0, 3000.0)]), None),
+        (crash_plan(at_us=1500.0, down_us=2500.0, server=1),
+         ResilienceConfig.hedged(hedge_delay_us=300.0)),
+    ], ids=["blackout", "crash-hedged"])
+    def test_same_records(self, plan, resilience):
+        sed, jsq = (
+            run_rack(plan=plan, resilience=resilience, policy=policy,
+                     load_frac=0.8)
+            for policy in ("sed", "jsq")
+        )
+
+        def records(result):
+            return [
+                (r.rid, r.arrival_cycle, r.completion_cycle,
+                 r.payload["server"], r.preemptions)
+                for r in result.records
+            ]
+
+        assert records(sed) == records(jsq)
+        assert sed.routed == jsq.routed
+        assert sed.fault_stats == jsq.fault_stats
+        assert sed.resilience_stats == jsq.resilience_stats
+
+
 class TestSignalFaults:
     def test_blackout_degrades_tail_without_losing_requests(self):
         clean = run_rack(load_frac=0.8)
@@ -424,6 +454,26 @@ class TestResilience:
         assert result.drained
         assert result.resilience_stats["shed"] == result.shed
         assert result.goodput() < 1.0
+
+    def test_failed_requests_do_not_count_as_goodput(self):
+        # A 50 us deadline with no retry budget fails about half the
+        # requests, yet every one of them still completes on its server;
+        # those late completions are not goodput.
+        workload = bimodal_50_1_50_100()
+        cluster = Cluster(
+            c6420(4), concord(QUANTUM_US), 2, policy="jsq", seed=1,
+            resilience=ResilienceConfig(timeout_us=50.0, max_retries=0),
+        )
+        load = 0.8 * 2 * 4 * 1e6 / workload.mean_us()
+        result = cluster.run(workload, PoissonProcess(load), 3000)
+        assert result.failed > 1000
+        assert result.shed == 0
+        assert len(result.records) == result.resilience_stats["completed"]
+        assert result.goodput() == pytest.approx(
+            (3000 - result.failed) / 3000
+        )
+        assert result.slo_goodput() <= result.goodput()
+        assert len(result.e2e_latencies_us) == len(result.records)
 
     def test_e2e_latencies_cover_completed_requests(self):
         plan = crash_plan(at_us=1500.0, down_us=2500.0, server=1)

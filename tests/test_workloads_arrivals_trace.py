@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.workloads import (
-    ClosedLoopProcess,
     DeterministicProcess,
     PoissonProcess,
     Trace,
     TraceRecord,
     bimodal_50_1_50_100,
+    fixed_1us,
+    open_loop,
 )
 
 
@@ -39,16 +40,37 @@ class TestDeterministicProcess:
         assert process.next_gap_us(r) == 1.0
 
 
-class TestClosedLoopProcess:
-    def test_zero_gap(self):
-        process = ClosedLoopProcess(in_flight=4)
-        assert process.next_gap_us(random.Random(0)) == 0.0
-        assert process.in_flight == 4
-        assert process.rate_rps == float("inf")
+class TestOpenLoop:
+    def test_one_rng_equals_trace_sample(self):
+        workload, arrivals = bimodal_50_1_50_100(), PoissonProcess(100_000)
+        rng = random.Random(7)
+        stream = list(open_loop(workload, arrivals, 300, rng, rng))
+        trace = Trace.sample(workload, arrivals, 300, random.Random(7))
+        assert [TraceRecord(*request) for request in stream] == trace.records
 
-    def test_rejects_zero_in_flight(self):
-        with pytest.raises(ValueError):
-            ClosedLoopProcess(0)
+    def test_deterministic_process_gives_exact_instants(self):
+        stream = list(open_loop(
+            fixed_1us(), DeterministicProcess(250_000), 5,
+            random.Random(0), random.Random(1),
+        ))
+        assert [t for t, _, _ in stream] == [4.0, 8.0, 12.0, 16.0, 20.0]
+        assert all(kind == "fixed" and service == 1.0
+                   for _, kind, service in stream)
+
+    def test_separate_rngs_draw_gaps_and_classes_apart(self):
+        # Each draw stays on its own stream: the gaps depend only on the
+        # gap rng, the classes only on the class rng.
+        workload, arrivals = bimodal_50_1_50_100(), PoissonProcess(100_000)
+
+        def draw(gap_seed, class_seed):
+            return list(open_loop(workload, arrivals, 200,
+                                  random.Random(gap_seed),
+                                  random.Random(class_seed)))
+
+        base, other_gaps, other_classes = draw(1, 2), draw(3, 2), draw(1, 4)
+        assert [r[1:] for r in base] == [r[1:] for r in other_gaps]
+        assert [r[0] for r in base] == [r[0] for r in other_classes]
+        assert [r[0] for r in base] != [r[0] for r in other_gaps]
 
 
 class TestTrace:
