@@ -684,18 +684,33 @@ class _CallCollector(ast.NodeVisitor):
 
     def visit_Call(self, node):
         self._record(node.func, node)
-        # ``obj.method`` passed as an argument (``sim.post(d,
-        # worker.on_signal, name, epoch)``): the callee may invoke it later,
-        # so keep an edge to every method of that name.  ``self.method`` is
-        # covered by :meth:`visit_Attribute`.
         for arg in node.args + [kw.value for kw in node.keywords]:
-            if (
-                isinstance(arg, ast.Attribute)
-                and isinstance(arg.value, ast.Name)
-                and arg.value.id != "self"
-            ):
-                self.refs.append(("method-ref", arg.attr, arg))
+            self._record_method_refs(arg)
         self.generic_visit(node)
+
+    def _record_method_refs(self, arg):
+        """``obj.method`` or ``self.attr.method`` passed as an argument
+        (``sim.post(d, worker.on_signal, name, epoch)``), directly or inside
+        a tuple or list argument (an event entry pushed onto the heap,
+        ``heappush(heap, (t, seq, None, self.dispatcher.on_x, arg))``): the
+        callee may invoke it later, so keep an edge to every method of that
+        name.  ``self.method`` is covered by :meth:`visit_Attribute`."""
+        if isinstance(arg, (ast.Tuple, ast.List)):
+            for element in arg.elts:
+                self._record_method_refs(element)
+            return
+        if not isinstance(arg, ast.Attribute):
+            return
+        receiver = arg.value
+        if isinstance(receiver, ast.Name):
+            if receiver.id != "self":
+                self.refs.append(("method-ref", arg.attr, arg))
+        elif (
+            isinstance(receiver, ast.Attribute)
+            and isinstance(receiver.value, ast.Name)
+            and receiver.value.id == "self"
+        ):
+            self.refs.append(("method-ref", arg.attr, arg))
 
     def visit_Name(self, node):
         # A bare reference to a known callable (e.g. a class passed as a

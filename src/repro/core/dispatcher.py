@@ -15,6 +15,7 @@ special-casing.
 
 import math
 from collections import deque
+from heapq import heappush
 
 from repro import constants
 
@@ -33,13 +34,21 @@ class Dispatcher:
         self.jbsq_depth = config.jbsq_depth
         self._levels = tuple(range(config.jbsq_depth))
         self.locality_aware = config.locality_aware
-        #: Single-queue placement consumes ready workers and locality-aware
-        #: placement looks at the head request, so both need a non-empty
-        #: queue first; plain JBSQ placement does not.
-        self.placement_reads_queue = self.single_queue or self.locality_aware
         self.work_conserving = config.work_conserving_dispatcher
         self.costs = server.costs
         self.policy = server.policy
+        #: The policy's container: truthy iff requests are queued.
+        self._queued = server.policy.queue
+        #: The event heap, for the timers this agent pushes directly (see
+        #: :mod:`repro.sim.engine`).
+        self._heap = sim._heap
+        self.rng_notice = server.rng_notice
+        #: The single queue's flag-poll round across n workers, in cycles
+        #: (0 for the ideal queue, which notices an idle worker at once).
+        self._poll_span = (
+            0 if config.ideal
+            else server.machine.num_workers * constants.DISPATCHER_POLL_CYCLES
+        )
         self.workers = server.workers
         self.probes = server.probes
         self.rx = deque()
@@ -94,70 +103,94 @@ class Dispatcher:
 
     # -- stimuli ------------------------------------------------------------------
 
+    # Each stimulus wakes an idle dispatcher: a running steal slice is
+    # interrupted, otherwise the next action starts.  A busy dispatcher
+    # picks the stimulus up when its action finishes.
+
     def on_arrival(self, request):
         """A packet reached the NIC ring."""
         self.rx.append(request)
         if not self._in_action:
-            self._wake()
+            if self._steal is not None:
+                self._interrupt_steal()
+            else:
+                self._next()
 
-    def enqueue_preempt(self, worker, epoch):
-        """A worker's scheduling quantum expired (timer event)."""
-        self.preempts.append((worker, epoch))
+    def enqueue_preempt(self, entry):
+        """A worker's scheduling quantum expired (timer event); ``entry``
+        is the ``(worker, epoch)`` the quantum was armed for."""
+        self.preempts.append(entry)
         if not self._in_action:
-            self._wake()
+            if self._steal is not None:
+                self._interrupt_steal()
+            else:
+                self._next()
 
     def enqueue_requeue(self, request):
         """A worker yielded ``request``; pull it back to the central queue."""
         self.requeues.append(request)
         if not self._in_action:
-            self._wake()
+            if self._steal is not None:
+                self._interrupt_steal()
+            else:
+                self._next()
 
     def worker_became_idle(self, worker):
         if self.single_queue:
             # The dispatcher only notices the worker's "done" flag on its
             # next poll round over all n workers (section 2.2.2: with short
             # requests "multiple workers finish while the dispatcher is
-            # busy sending a request to another worker").
-            delay = self.server.poll_discovery_delay()
-            if delay > 0:
-                self.sim.post(delay, self._register_ready, "flag-poll", worker)
-                return
+            # busy sending a request to another worker").  The delay is
+            # uniform over one round; ``span * random()`` is what
+            # ``uniform(0, span)`` computes.
+            span = self._poll_span
+            if span:
+                delay = int(span * self.rng_notice.random())
+                if delay > 0:
+                    sim = self.sim
+                    seq = sim._seq = sim._seq + 1
+                    heappush(self._heap, (
+                        sim.now + delay, seq, None, self._register_ready,
+                        worker,
+                    ))
+                    return
             self.ready_workers.append(worker)
         if not self._in_action:
-            self._wake()
+            if self._steal is not None:
+                self._interrupt_steal()
+            else:
+                self._next()
 
     def _register_ready(self, worker):
+        """The flag poll found ``worker`` idle (the ``flag-poll`` timer)."""
         self.ready_workers.append(worker)
         if not self._in_action:
-            self._wake()
+            if self._steal is not None:
+                self._interrupt_steal()
+            else:
+                self._next()
 
     def worker_slot_freed(self, worker):
         if not self._in_action:
-            self._wake()
+            if self._steal is not None:
+                self._interrupt_steal()
+            else:
+                self._next()
 
     # -- the action loop --------------------------------------------------------------
 
-    def _wake(self):
-        if self._in_action:
-            return
-        if self._steal is not None:
-            self._interrupt_steal()
-            return
-        self._next()
-
-    def _finish_action(self, epoch):
-        if epoch != self.crash_epoch:
-            return  # the server crashed mid-action; the sweep took over
-        self._in_action = False
-        self._action_done()
-        self._action_request = None
-        self._next()
-
-    def _next(self):
+    def _next(self, epoch=None):
         """Start the highest-priority micro-action, if any: the dispatcher
-        is busy for its cost, then :meth:`_finish_action` applies it."""
-        if self._in_action or self._steal is not None:
-            return
+        is busy for its cost, then the action timer calls ``_next(epoch)``
+        with the ``crash_epoch`` it was posted under, which applies the
+        action and starts the next one.  Every other caller makes sure no
+        action is in flight and no steal slice runs."""
+        if epoch is not None:
+            if epoch != self.crash_epoch:
+                return  # the server crashed mid-action; the sweep took over
+            self._in_action = False
+            self._action_done()
+            self._action_request = None
         faults = self.server.faults
         if faults is not None and faults.down:
             return  # crashed: the dispatcher core is dark until recovery
@@ -168,14 +201,14 @@ class Dispatcher:
         # before paying for a signal).
         preempts = self.preempts
         while preempts:
-            worker, epoch = preempts.popleft()
-            if worker.epoch != epoch or worker.current is None:
+            worker, aimed = preempts.popleft()
+            if worker.epoch != aimed or worker.current is None:
                 self.stale_signals_skipped += 1
                 continue
             self.signals_sent += 1
             self._action_done = self._deliver_signal
             self._action_worker = worker
-            self._signal_epoch = epoch
+            self._signal_epoch = aimed
             cost = costs.signal
             name = "d-signal"
             break
@@ -196,11 +229,19 @@ class Dispatcher:
                 # 4. Dispatch to a worker.
                 policy = self.policy
                 target = request = None
-                if self.placement_reads_queue:
-                    if policy:
-                        target = self._pick_worker(
-                            policy.peek() if self.locality_aware else None
-                        )
+                if self.single_queue:
+                    # Single queue: the first ready worker that is still
+                    # idle, consumed only when a request is waiting.
+                    if self._queued:
+                        ready = self.ready_workers
+                        while ready:
+                            worker = ready.popleft()
+                            if worker.outstanding == 0:
+                                target = worker
+                                break
+                elif self.locality_aware:
+                    if self._queued:
+                        target = self._pick_worker(policy.peek())
                 else:
                     # Plain JBSQ placement reads only the load masks: find
                     # a slot first, then pop (None if the queue is empty).
@@ -212,7 +253,7 @@ class Dispatcher:
                     # request, or steal when every worker is full.
                     if self.work_conserving and (
                         self.steal_buffer is not None
-                        or (target is None and policy)
+                        or (target is None and self._queued)
                     ):
                         self._begin_steal()
                     return
@@ -225,21 +266,21 @@ class Dispatcher:
         self._in_action = True
         self.busy_cycles += cost
         self.actions_run += 1
+        sim = self.sim
         probes = self.probes
         if probes is not None:
-            probes.dispatcher_action(self.sim.now, name, cost)
-        self.sim.post(cost, self._finish_action, name, self.crash_epoch)
+            probes.dispatcher_action(sim.now, name, cost)
+        # The action timer: ``_next(crash_epoch)`` once ``cost`` elapses.
+        seq = sim._seq = sim._seq + 1
+        heappush(
+            self._heap, (sim.now + cost, seq, None, self._next, self.crash_epoch)
+        )
 
     # -- dispatch ---------------------------------------------------------------------
 
     def _pick_worker(self, request=None):
-        if self.single_queue:
-            ready = self.ready_workers
-            while ready:
-                worker = ready.popleft()
-                if worker.outstanding == 0:
-                    return worker
-            return None
+        """The JBSQ worker for ``request`` (single-queue placement is inline
+        in :meth:`_next`)."""
         # Locality-aware placement (section 3.1; ``_next`` passes the head
         # request only when it is on): send a preempted request back to the
         # core whose caches still hold its state, if it has a free slot.
@@ -287,14 +328,17 @@ class Dispatcher:
         now = self.sim.now
         delay = server.mechanism.notice_delay_cycles(server.rng_notice)
         current = worker.current
-        if current is not None:
+        if current is not None and server.safety_defers:
             elapsed = now - (worker.run_start or now)
             delay += server.defer_cycles(
                 current.kind, elapsed if elapsed > 0 else 0
             )
-        self.sim.post(
-            int(delay), worker.on_preempt_signal, "notice", self._signal_epoch
-        )
+        sim = self.sim
+        seq = sim._seq = sim._seq + 1
+        heappush(self._heap, (
+            now + int(delay), seq, None, worker.on_preempt_signal,
+            self._signal_epoch,
+        ))
 
     # -- work conservation (section 3.3) --------------------------------------------------
 

@@ -24,43 +24,45 @@ class FCFSPolicy:
     name = "fcfs"
 
     def __init__(self):
-        self._queue = deque()
+        #: The queued requests in arrival order.  Never rebound, so the
+        #: dispatcher holds it and tests it for emptiness directly.
+        self.queue = deque()
 
     def push_new(self, request):
         """Enqueue a request that just arrived."""
-        self._queue.append(request)
+        self.queue.append(request)
 
     def push_preempted(self, request):
         """Re-enqueue a request the dispatcher pulled back after preemption
         (section 3.1: "The dispatcher re-places the preempted request on the
         main queue")."""
-        self._queue.append(request)
+        self.queue.append(request)
 
     def pop(self):
         """Next request for a worker, or None."""
-        if not self._queue:
+        if not self.queue:
             return None
-        return self._queue.popleft()
+        return self.queue.popleft()
 
     def peek(self):
         """The request pop() would return, without removing it."""
-        return self._queue[0] if self._queue else None
+        return self.queue[0] if self.queue else None
 
     def steal_nonstarted(self):
         """First *non-started* request, for the work-conserving dispatcher
         (section 3.3: "the dispatcher can only pick up non-started requests
         from the central queue")."""
-        for i, request in enumerate(self._queue):
+        for i, request in enumerate(self.queue):
             if not request.started:
-                del self._queue[i]
+                del self.queue[i]
                 return request
         return None
 
     def __len__(self):
-        return len(self._queue)
+        return len(self.queue)
 
     def __bool__(self):
-        return bool(self._queue)
+        return bool(self.queue)
 
 
 class SRPTPolicy:
@@ -69,12 +71,15 @@ class SRPTPolicy:
     name = "srpt"
 
     def __init__(self):
-        self._heap = []
+        #: ``(remaining_cycles, arrival counter, request)`` heap entries.
+        #: Never rebound, so the dispatcher holds it and tests it for
+        #: emptiness directly.
+        self.queue = []
         self._counter = itertools.count()
 
     def _push(self, request):
         heapq.heappush(
-            self._heap, (request.remaining_cycles, next(self._counter), request)
+            self.queue, (request.remaining_cycles, next(self._counter), request)
         )
 
     def push_new(self, request):
@@ -84,13 +89,13 @@ class SRPTPolicy:
         self._push(request)
 
     def pop(self):
-        if not self._heap:
+        if not self.queue:
             return None
-        return heapq.heappop(self._heap)[2]
+        return heapq.heappop(self.queue)[2]
 
     def peek(self):
         """The request pop() would return, without removing it."""
-        return self._heap[0][2] if self._heap else None
+        return self.queue[0][2] if self.queue else None
 
     def steal_nonstarted(self):
         # Scan in priority order without disturbing the heap invariant more
@@ -98,21 +103,21 @@ class SRPTPolicy:
         # the started ones back.
         stash = []
         found = None
-        while self._heap:
-            entry = heapq.heappop(self._heap)
+        while self.queue:
+            entry = heapq.heappop(self.queue)
             if not entry[2].started:
                 found = entry[2]
                 break
             stash.append(entry)
         for entry in stash:
-            heapq.heappush(self._heap, entry)
+            heapq.heappush(self.queue, entry)
         return found
 
     def __len__(self):
-        return len(self._heap)
+        return len(self.queue)
 
     def __bool__(self):
-        return bool(self._heap)
+        return bool(self.queue)
 
 
 _POLICIES = {"fcfs": FCFSPolicy, "srpt": SRPTPolicy}

@@ -22,6 +22,7 @@ their results with :func:`pooled`.
 """
 
 from repro import constants
+from repro.core.config import NoSafety
 from repro.core.dispatcher import Dispatcher
 from repro.core.policies import make_policy
 from repro.core.preemption import NoPreemption
@@ -250,6 +251,11 @@ class Server:
 
         self.policy = make_policy(config.policy)
         self.costs = _Costs(machine, config, self.mechanism)
+        #: False when :meth:`defer_cycles` is always 0 (no safety model, or
+        #: the ideal queue), so the preemption paths skip the call.
+        self.safety_defers = not (
+            config.ideal or isinstance(config.safety, NoSafety)
+        )
         self.queue_mode = config.queue_mode
         self.preemptive = config.preemptive
         self.quantum_cycles = (
@@ -314,14 +320,6 @@ class Server:
         return self.config.safety.defer_cycles(
             kind, self.clock, self.rng_defer, elapsed_cycles
         )
-
-    def poll_discovery_delay(self):
-        """Latency until the dispatcher's flag-poll loop notices a finished
-        single-queue worker: uniform over one poll round across n workers."""
-        if self.config.ideal:
-            return 0
-        span = self.machine.num_workers * constants.DISPATCHER_POLL_CYCLES
-        return int(self.rng_notice.uniform(0, span))
 
     def record_completion(self, request):
         self.completed.append(request)

@@ -16,6 +16,7 @@ each preemption pays the mechanism's notification disruption (cnotif).
 """
 
 from collections import deque
+from heapq import heappush
 from math import ceil
 
 __all__ = ["Worker"]
@@ -71,6 +72,9 @@ class Worker:
         )
         self.mechanism = server.mechanism
         self.probes = server.probes
+        #: The event heap: the per-slice timers are pushed onto it
+        #: directly (see :mod:`repro.sim.engine`).
+        self._heap = sim._heap
 
     # -- queue state ------------------------------------------------------------
 
@@ -141,33 +145,39 @@ class Worker:
                 at, request, self.wid, run_start, request.preemptions > 0
             )
 
+        # ``w-complete``; ``at`` >= now, so every timer below is >= now.
+        heap = self._heap
         completion_at = run_start + ceil(
             request.remaining_cycles * self.worker_rate
         )
-        sim.post_at(completion_at, self._on_complete, "w-complete", epoch)
+        seq = sim._seq = sim._seq + 1
+        heappush(heap, (completion_at, seq, None, self._on_complete, epoch))
 
         quantum = self.quantum_cycles
         if quantum is not None and completion_at > run_start + quantum:
             expiry = run_start + quantum
             mech = self.mechanism
             if mech.needs_dispatcher_signal:
-                sim.post_at(
-                    expiry, self._quantum_expired, "quantum-expiry", epoch
-                )
+                # ``quantum-expiry``: the dispatcher queues a signal.
+                seq = sim._seq = seq + 1
+                heappush(heap, (
+                    expiry, seq, None, self.dispatcher.enqueue_preempt,
+                    (self, epoch),
+                ))
             else:
                 # Self-preemption (rdtsc probes): the worker notices the
                 # elapsed quantum at its next probe, no dispatcher involved.
                 server = self.server
-                delay = mech.notice_delay_cycles(
-                    server.rng_notice
-                ) + server.defer_cycles(request.kind, elapsed_cycles=quantum)
-                sim.post_at(
-                    expiry + int(delay), self.on_preempt_signal,
-                    "self-preempt", epoch,
-                )
-
-    def _quantum_expired(self, epoch):
-        self.dispatcher.enqueue_preempt(self, epoch)
+                delay = mech.notice_delay_cycles(server.rng_notice)
+                if server.safety_defers:
+                    delay += server.defer_cycles(
+                        request.kind, elapsed_cycles=quantum
+                    )
+                seq = sim._seq = seq + 1
+                heappush(heap, (
+                    expiry + int(delay), seq, None, self.on_preempt_signal,
+                    epoch,
+                ))
 
     def _on_complete(self, epoch):
         if epoch != self.epoch or self.current is None:
@@ -218,8 +228,13 @@ class Worker:
                 return
         now = sim.now
         request = self.current
+        # Cycles executed this slice, at least 0 and leaving at least 1.
         executed = int((now - self.run_start) // self.worker_rate)
-        executed = max(0, min(executed, request.remaining_cycles - 1))
+        limit = request.remaining_cycles - 1
+        if executed > limit:
+            executed = limit
+        if executed < 0:
+            executed = 0
         request.remaining_cycles -= executed
         self.work_cycles += executed
         request.preemptions += 1
@@ -234,10 +249,12 @@ class Worker:
         self.busy_cycles += costs.disruption + costs.context_switch
         self.current = None
         self.run_start = None
-        self.epoch += 1
+        epoch = self.epoch = epoch + 1
         self._switching_until = yield_done
         self.dispatcher.enqueue_requeue(request)
-        sim.post_at(yield_done, self._after_yield, "w-yielded", self.epoch)
+        # ``w-yielded``, once the switch out is done.
+        seq = sim._seq = sim._seq + 1
+        heappush(self._heap, (yield_done, seq, None, self._after_yield, epoch))
 
     def _after_yield(self, epoch):
         self._switching_until = None

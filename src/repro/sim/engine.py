@@ -21,14 +21,27 @@ Scheduling comes in two shapes:
 ``post`` / ``post_at`` also take an optional ``arg`` that is passed to the
 callback when it fires, so a hot path can post a bound method plus its
 state (``post(d, worker.on_signal, "notice", epoch)``) instead of
-allocating a closure per event.
+allocating a closure per event.  Their ``name`` appears only in the text
+of a scheduling error; it is not stored.
 
 Queue entries are therefore either ``(time, seq, event)`` triples or
-``(time, seq, None, callback, name, arg)`` fire-and-forget tuples, where
-``arg`` is a module-private sentinel when the callback takes no argument
-(so ``arg=None`` is delivered as ``None``).  ``entry[2] is None``
+``(time, seq, None, callback, arg)`` fire-and-forget tuples, where ``arg``
+is a module-private sentinel when the callback takes no argument (so
+``arg=None`` is delivered as ``None``).  ``entry[2] is None``
 distinguishes the two shapes and the unique ``seq`` guarantees ordering
 comparisons never reach the mismatched tails.
+
+The core runtime's per-slice timers skip even the ``post`` frame and push
+a fire-and-forget entry themselves::
+
+    seq = sim._seq = sim._seq + 1
+    heappush(heap, (time, seq, None, callback, arg))
+
+where ``heap`` is ``sim._heap`` (hoisted: the list is never rebound, and
+compaction works in place) and ``time`` is an int at or after ``now``.
+The drain loop keeps the "never schedule in the past" check for such
+sites: it raises :class:`SimulationError` naming the callback when it pops
+an entry whose time is before ``now``.
 """
 
 from heapq import heapify, heappop, heappush
@@ -177,9 +190,7 @@ class Simulator:
         if delay.__class__ is not int:
             delay = int(delay)
         seq = self._seq = self._seq + 1
-        heappush(
-            self._heap, (self.now + delay, seq, None, callback, name, arg)
-        )
+        heappush(self._heap, (self.now + delay, seq, None, callback, arg))
 
     def post_at(self, time, callback, name="", arg=_NO_ARG):
         """Fire-and-forget :meth:`schedule` (absolute time, no handle);
@@ -193,7 +204,7 @@ class Simulator:
                 )
             )
         seq = self._seq = self._seq + 1
-        heappush(self._heap, (time, seq, None, callback, name, arg))
+        heappush(self._heap, (time, seq, None, callback, arg))
 
     # -- cancellation accounting -------------------------------------------
 
@@ -240,6 +251,7 @@ class Simulator:
         budget = max_events if max_events is not None else _UNBOUNDED
         horizon = until if until is not None else _UNBOUNDED
         executed = 0
+        now = self.now
         try:
             while heap:
                 if executed >= budget:
@@ -255,9 +267,19 @@ class Simulator:
                     heappush(heap, entry)
                     self.now = int(until)
                     break
-                self.now = time
+                if time < now:
+                    # Only a direct push of a fire-and-forget entry can get
+                    # here: schedule, post and post_at refuse such a time.
+                    callback = entry[3]
+                    raise SimulationError(
+                        "event {} queued at t={} before now={}".format(
+                            getattr(callback, "__qualname__", repr(callback)),
+                            time, now,
+                        )
+                    )
+                now = self.now = time
                 if event is None:
-                    arg = entry[5]
+                    arg = entry[4]
                     if arg is no_arg:
                         entry[3]()
                     else:

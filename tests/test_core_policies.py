@@ -98,6 +98,35 @@ class TestSRPTPolicy:
         assert SRPTPolicy().pop() is None
 
 
+@pytest.mark.parametrize("cls", [FCFSPolicy, SRPTPolicy])
+def test_container_truthiness_agrees_with_the_policy(cls):
+    """The dispatcher tests ``policy.queue`` instead of the policy, so the
+    container must be the one object the policy fills and drains."""
+    policy = cls()
+    queue = policy.queue
+    states = []
+
+    def check():
+        assert policy.queue is queue
+        assert bool(queue) == bool(policy) == (len(policy) > 0)
+        states.append(bool(queue))
+
+    check()
+    policy.push_new(make_request(0, started=True))
+    check()
+    policy.push_preempted(make_request(1))
+    check()
+    assert policy.steal_nonstarted().rid == 1
+    check()
+    assert policy.steal_nonstarted() is None
+    check()
+    assert policy.pop().rid == 0
+    check()
+    assert policy.pop() is None
+    check()
+    assert states == [False, True, True, True, True, False, False]
+
+
 def test_make_policy():
     assert isinstance(make_policy("fcfs"), FCFSPolicy)
     assert isinstance(make_policy("srpt"), SRPTPolicy)

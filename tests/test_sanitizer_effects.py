@@ -165,6 +165,48 @@ class TestCallGraph:
         assert GLOBAL_RNG in analysis.effects_of("pkg.balancer:Balancer.send")
         assert not analysis.effects_of("pkg.balancer:Balancer.read")
 
+    def test_method_inside_a_tuple_argument(self, tmp_path):
+        # ``heappush(heap, (t, seq, None, self.dispatcher.on_x, arg))``: an
+        # event entry pushed straight onto the heap carries its callback
+        # inside a tuple, as ``obj.method`` or ``self.attr.method``.
+        sources = build_package(tmp_path, {
+            "target.py": """
+                import random
+                import time
+
+                class Dispatcher:
+                    def on_expiry(self, entry):
+                        return random.random()
+
+                class Server:
+                    def deliver(self, request):
+                        return time.time()
+            """,
+            "worker.py": """
+                from heapq import heappush
+
+                class Worker:
+                    def __init__(self, dispatcher):
+                        self.dispatcher = dispatcher
+                        self.heap = []
+
+                    def arm(self, t):
+                        heappush(self.heap, (
+                            t, 1, None, self.dispatcher.on_expiry, (self, t),
+                        ))
+
+                    def hand_off(self, server, t):
+                        self.heap.extend([(t, 2, None, server.deliver, t)])
+
+                    def keep(self, t):
+                        heappush(self.heap, (t, 3, None, self.heap, t))
+            """,
+        })
+        analysis = EffectAnalysis(sources)
+        assert GLOBAL_RNG in analysis.effects_of("pkg.worker:Worker.arm")
+        assert CLOCK in analysis.effects_of("pkg.worker:Worker.hand_off")
+        assert not analysis.effects_of("pkg.worker:Worker.keep")
+
     def test_super_call_reaches_base_method(self, tmp_path):
         sources = build_package(tmp_path, {
             "base.py": """
@@ -350,6 +392,19 @@ class TestRealTreeClosure:
          "repro.core.server:Server.deliver"),
         ("repro.parallel.jobs:RackJob.run",
          "repro.core.dispatcher:Dispatcher.__init__"),
+    ] + [
+        # Every callback of the preemption slice chain, most of them pushed
+        # straight onto the event heap inside an entry tuple.
+        (entry, probe)
+        for entry in ("repro.parallel.jobs:SimJob.run",
+                      "repro.parallel.jobs:RackJob.run")
+        for probe in ("repro.core.dispatcher:Dispatcher._next",
+                      "repro.core.dispatcher:Dispatcher.enqueue_preempt",
+                      "repro.core.dispatcher:Dispatcher._register_ready",
+                      "repro.core.worker:Worker.on_preempt_signal",
+                      "repro.core.worker:Worker._after_yield",
+                      "repro.core.worker:Worker._on_complete",
+                      "repro.core.server:Server.defer_cycles")
     ])
     def test_probe_reachable(self, analysis, entry, probe):
         assert probe in analysis.reachable_from(entry)

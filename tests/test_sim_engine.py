@@ -5,6 +5,7 @@ import functools
 import hashlib
 import json
 import random
+from heapq import heappush
 from types import SimpleNamespace
 
 import pytest
@@ -297,6 +298,64 @@ class TestPostArgument:
         assert sim.peek_time() == 5
         sim.run()
         assert seen == ["live", None]
+
+
+class TestDirectPush:
+    """Hot sites push ``(time, seq, None, callback, arg)`` onto the heap
+    themselves; the drain loop keeps the "never in the past" check."""
+
+    @staticmethod
+    def push(sim, time, callback, arg):
+        seq = sim._seq = sim._seq + 1
+        heappush(sim._heap, (time, seq, None, callback, arg))
+
+    def test_shares_order_with_post_and_after(self):
+        sim = Simulator()
+        order = []
+        sim.post(5, order.append, "a", "a")
+        self.push(sim, 5, order.append, "b")
+        sim.after(5, lambda: order.append("c"))
+        self.push(sim, 3, order.append, "first")
+        sim.run()
+        assert order == ["first", "a", "b", "c"]
+        assert sim.events_run == 4
+
+    def test_none_is_delivered_as_none(self):
+        sim = Simulator()
+        seen = []
+        self.push(sim, 1, seen.append, None)
+        sim.run()
+        assert seen == [None]
+
+    def test_entry_before_now_raises_naming_its_callback(self):
+        sim = Simulator()
+        seen = []
+
+        def stale_timer(arg):
+            seen.append(arg)
+
+        def push_into_the_past():
+            self.push(sim, sim.now - 1, stale_timer, "late")
+
+        sim.post_at(10, push_into_the_past)
+        sim.post_at(20, seen.append, "x", "kept")
+        with pytest.raises(SimulationError, match="stale_timer") as info:
+            sim.run()
+        assert "t=9 before now=10" in str(info.value)
+        assert seen == [] and sim.now == 10
+        # The loop is not left running: the rest of the queue still drains.
+        assert sim.run() == 1
+        assert seen == ["kept"]
+
+    def test_post_and_post_at_still_raise_eagerly(self):
+        sim = Simulator()
+        sim.post_at(10, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError, match="'tick' at t=5"):
+            sim.post_at(5, lambda: None, "tick")
+        with pytest.raises(SimulationError, match="'tock'"):
+            sim.post(-1, lambda: None, "tock", 7)
+        assert sim.pending == 0
 
 
 def test_bounded_run_then_late_insert():
