@@ -253,6 +253,12 @@ class ClassScan:
     methods: Dict[str, ast.FunctionDef] = field(default_factory=dict)
     #: attribute name -> dotted type ("builtins.set" or a class path)
     attr_types: Dict[str, str] = field(default_factory=dict)
+    #: attribute name -> the ``(mode, extra, method)`` call refs of the
+    #: bound methods stored on it (``self._defer = server.defer_cycles``),
+    #: so a call through the attribute resolves like a call of each
+    bound_methods: Dict[str, List[Tuple[str, Optional[str], str]]] = field(
+        default_factory=dict
+    )
     frozen_dataclass: bool = False
 
 
@@ -293,6 +299,10 @@ class ModuleContext:
                             scan.attr_types.setdefault(
                                 target.attr, inferred
                             )
+                        if isinstance(sub.value, ast.Attribute):
+                            scan.bound_methods.setdefault(
+                                target.attr, []
+                            ).append(_method_ref(sub.value))
         return scan
 
     def _infer_type(self, value):
@@ -322,6 +332,21 @@ class ModuleContext:
                 if inferred:
                     return inferred
         return None
+
+
+def _method_ref(node):
+    """The call ref :class:`_CallCollector` records for a call of the
+    attribute ``node`` (``self.m``, ``self.attr.m`` or ``obj.m``)."""
+    receiver = node.value
+    if isinstance(receiver, ast.Name) and receiver.id == "self":
+        return ("self", None, node.attr)
+    if (
+        isinstance(receiver, ast.Attribute)
+        and isinstance(receiver.value, ast.Name)
+        and receiver.value.id == "self"
+    ):
+        return ("self-attr", receiver.attr, node.attr)
+    return ("unknown", None, node.attr)
 
 
 def _looks_like_class(dotted):
@@ -639,6 +664,9 @@ class _CallCollector(ast.NodeVisitor):
         #: method-ref}
         self.refs = []
         self.local_types = {}
+        #: local name -> call ref of the bound method assigned to it
+        #: (``defer = self.server.defer_cycles``)
+        self.local_methods = {}
 
     def collect_function(self, node):
         self._infer_locals(node)
@@ -655,14 +683,18 @@ class _CallCollector(ast.NodeVisitor):
 
     def _infer_locals(self, node):
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Assign) and isinstance(
-                sub.value, ast.Call
-            ):
+            if not isinstance(sub, ast.Assign):
+                continue
+            targets = [t.id for t in sub.targets if isinstance(t, ast.Name)]
+            if isinstance(sub.value, ast.Attribute):
+                ref = _method_ref(sub.value)
+                for name in targets:
+                    self.local_methods.setdefault(name, ref)
+            elif isinstance(sub.value, ast.Call):
                 dotted = dotted_name(sub.value.func, self.ctx.imports)
                 if dotted and _looks_like_class(dotted):
-                    for target in sub.targets:
-                        if isinstance(target, ast.Name):
-                            self.local_types.setdefault(target.id, dotted)
+                    for name in targets:
+                        self.local_types.setdefault(name, dotted)
 
     def visit_FunctionDef(self, node):
         if not self.skip_nested_defs:
@@ -690,9 +722,9 @@ class _CallCollector(ast.NodeVisitor):
 
     def _record_method_refs(self, arg):
         """``obj.method`` or ``self.attr.method`` passed as an argument
-        (``sim.post(d, worker.on_signal, name, epoch)``), directly or inside
-        a tuple or list argument (an event entry pushed onto the heap,
-        ``heappush(heap, (t, seq, None, self.dispatcher.on_x, arg))``): the
+        (``sim.post(d, worker.on_signal, epoch)``), directly or inside a
+        tuple or list argument (an event entry pushed onto the heap,
+        ``heappush(heap, (t, seq, self.dispatcher.on_x, arg))``): the
         callee may invoke it later, so keep an edge to every method of that
         name.  ``self.method`` is covered by :meth:`visit_Attribute`."""
         if isinstance(arg, (ast.Tuple, ast.List)):
@@ -733,6 +765,11 @@ class _CallCollector(ast.NodeVisitor):
 
     def _record(self, func, node):
         if isinstance(func, ast.Name):
+            if func.id in self.local_methods:
+                self.refs.append(
+                    ("method", self.local_methods[func.id], node)
+                )
+                return
             self.refs.append(
                 ("dotted", self.ctx.imports.resolve_name(func.id), node)
             )
@@ -929,7 +966,7 @@ class EffectAnalysis:
         if init:
             info.callees.add(init)
 
-    def _link_method(self, info, mode, extra, mname):
+    def _link_method(self, info, mode, extra, mname, follow=True):
         class_dotted = None
         if mode == "super":
             self._link_super(info, mname)
@@ -950,6 +987,15 @@ class EffectAnalysis:
             target = self._find_method(class_dotted, mname)
             if target:
                 info.callees.add(target)
+                return
+        if mode == "self" and follow and info.class_name:
+            # ``self.x()`` where ``x`` is no method: a bound method stored
+            # on the attribute (followed one step, so alias cycles end).
+            scan = self.contexts[info.module].classes.get(info.class_name)
+            refs = scan.bound_methods.get(mname) if scan else None
+            if refs:
+                for ref in refs:
+                    self._link_method(info, *ref, follow=False)
                 return
         self._fallback_by_name(info, mname)
 

@@ -151,7 +151,7 @@ class LoadBalancer:
             probes.request_routed(now, request, index)
         server = self.servers[index]
         delay = self._hop_delay()
-        self.sim.post(delay, server.deliver, "net-deliver", request)
+        self.sim.post(delay, server.deliver, request)
         return index
 
     def reroute(self, request, exclude=()):
@@ -171,7 +171,7 @@ class LoadBalancer:
 
         def on_complete(request):
             delay = self.fabric.hop_cycles(self.clock, self.rng_net)
-            self.sim.post(delay, reply_landed, "net-reply", request.rid)
+            self.sim.post(delay, reply_landed, request.rid)
 
         return on_complete
 
@@ -211,9 +211,9 @@ class LoadBalancer:
     def _start_telemetry(self):
         if self.board.counter_mode:
             return
-        self._telemetry_tick()
+        self._telemetry_tick(None)
 
-    def _telemetry_tick(self):
+    def _telemetry_tick(self, _):
         """Sample every server's true queue length and ship the reports to
         the board after the fabric's report-path delay."""
         injector = self.injector
@@ -224,15 +224,12 @@ class LoadBalancer:
             )
             if injector is not None:
                 delay = injector.scale_hop(self.sim.now, delay)
-            self.sim.post(
-                delay, self._apply_report, "telemetry", (index, value)
-            )
+            self.sim.post(delay, self._apply_report, (index, value))
         if self.accounted():
             return  # the rack has drained; stop pumping so the heap empties
         self.sim.post(
             self.clock.us_to_cycles(self.fabric.telemetry_interval_us),
             self._telemetry_tick,
-            "telemetry-tick",
         )
 
     def _apply_report(self, report):

@@ -86,8 +86,14 @@ class Dispatcher:
         # a time; its context lives in a dedicated buffer between slices and
         # can never migrate to a worker (different instrumentation).
         self.steal_buffer = None
-        self._steal = None
-        self._steal_stop_pending = False
+        #: The running steal slice: its request (None when no slice runs),
+        #: when execution starts (after the entry switch), whether it runs
+        #: the request to completion, and its end entry on the event queue
+        #: (None once a stimulus has cancelled it and a pause is pending).
+        self._steal_request = None
+        self._steal_start = 0
+        self._steal_completes = False
+        self._steal_end = None
         self.steals_started = 0
         self.steal_completions = 0
         self.steal_busy_cycles = 0
@@ -111,7 +117,7 @@ class Dispatcher:
         """A packet reached the NIC ring."""
         self.rx.append(request)
         if not self._in_action:
-            if self._steal is not None:
+            if self._steal_request is not None:
                 self._interrupt_steal()
             else:
                 self._next()
@@ -121,7 +127,7 @@ class Dispatcher:
         is the ``(worker, epoch)`` the quantum was armed for."""
         self.preempts.append(entry)
         if not self._in_action:
-            if self._steal is not None:
+            if self._steal_request is not None:
                 self._interrupt_steal()
             else:
                 self._next()
@@ -130,7 +136,7 @@ class Dispatcher:
         """A worker yielded ``request``; pull it back to the central queue."""
         self.requeues.append(request)
         if not self._in_action:
-            if self._steal is not None:
+            if self._steal_request is not None:
                 self._interrupt_steal()
             else:
                 self._next()
@@ -150,13 +156,12 @@ class Dispatcher:
                     sim = self.sim
                     seq = sim._seq = sim._seq + 1
                     heappush(self._heap, (
-                        sim.now + delay, seq, None, self._register_ready,
-                        worker,
+                        sim.now + delay, seq, self._register_ready, worker,
                     ))
                     return
             self.ready_workers.append(worker)
         if not self._in_action:
-            if self._steal is not None:
+            if self._steal_request is not None:
                 self._interrupt_steal()
             else:
                 self._next()
@@ -165,14 +170,14 @@ class Dispatcher:
         """The flag poll found ``worker`` idle (the ``flag-poll`` timer)."""
         self.ready_workers.append(worker)
         if not self._in_action:
-            if self._steal is not None:
+            if self._steal_request is not None:
                 self._interrupt_steal()
             else:
                 self._next()
 
     def worker_slot_freed(self, worker):
         if not self._in_action:
-            if self._steal is not None:
+            if self._steal_request is not None:
                 self._interrupt_steal()
             else:
                 self._next()
@@ -273,7 +278,7 @@ class Dispatcher:
         # The action timer: ``_next(crash_epoch)`` once ``cost`` elapses.
         seq = sim._seq = sim._seq + 1
         heappush(
-            self._heap, (sim.now + cost, seq, None, self._next, self.crash_epoch)
+            self._heap, (sim.now + cost, seq, self._next, self.crash_epoch)
         )
 
     # -- dispatch ---------------------------------------------------------------------
@@ -336,7 +341,7 @@ class Dispatcher:
         sim = self.sim
         seq = sim._seq = sim._seq + 1
         heappush(self._heap, (
-            now + int(delay), seq, None, worker.on_preempt_signal,
+            now + int(delay), seq, worker.on_preempt_signal,
             self._signal_epoch,
         ))
 
@@ -362,41 +367,41 @@ class Dispatcher:
         quantum = self.server.quantum_cycles or need
         slice_len = min(need, quantum)
         completes = slice_len >= need
-        end_event = self.sim.at(
-            exec_start + slice_len, self._finish_slice, "d-steal-end"
+        self._steal_request = request
+        self._steal_start = exec_start
+        self._steal_completes = completes
+        self._steal_end = self.sim.post_at(
+            exec_start + slice_len, self._finish_slice
         )
-        self._steal = {
-            "request": request,
-            "exec_start": exec_start,
-            "end_event": end_event,
-            "completes": completes,
-        }
         probes = self.probes
         if probes is not None:
             probes.steal_started(now, request, exec_start, completes)
 
-    def _account_steal(self, st, stop_time):
-        """Charge the slice [entry switch + execution] to the dispatcher."""
-        spent = stop_time - (st["exec_start"] - self.costs.context_switch)
+    def _end_steal(self, stop_time):
+        """Close the running slice at ``stop_time``: charge it [entry
+        switch + execution] to the dispatcher and return its request."""
+        request = self._steal_request
+        self._steal_request = None
+        self._steal_end = None
+        spent = stop_time - (self._steal_start - self.costs.context_switch)
         self.busy_cycles += spent
         self.steal_busy_cycles += spent
+        return request
 
-    def _finish_slice(self):
-        st = self._steal
-        if st is None:
+    def _finish_slice(self, _):
+        if self._steal_request is None:
             return  # the crash sweep already reclaimed the slice
-        self._steal = None
-        self._steal_stop_pending = False
         now = self.sim.now
-        self._account_steal(st, now)
-        request = st["request"]
-        if st["completes"]:
+        request = self._end_steal(now)
+        if self._steal_completes:
             request.remaining_cycles = 0
             request.completion_cycle = now
             self.steal_completions += 1
             self.server.record_completion(request)
         else:
-            executed = int((now - st["exec_start"]) // self.server.dispatcher_rate)
+            executed = int(
+                (now - self._steal_start) // self.server.dispatcher_rate
+            )
             executed = max(0, min(executed, request.remaining_cycles - 1))
             request.remaining_cycles -= executed
             self.steal_buffer = request
@@ -405,30 +410,26 @@ class Dispatcher:
     def _interrupt_steal(self):
         """A new stimulus arrived mid-slice: the dispatcher's rdtsc probes
         notice it within a probe gap and it self-preempts (section 3.3)."""
-        if self._steal_stop_pending:
-            return
-        st = self._steal
+        end = self._steal_end
+        if end is None:
+            return  # a pause is already pending
         gap = self.server.rng_notice.uniform(
             0.0, constants.PROBE_INTERVAL_CYCLES
         )
         stop_at = self.sim.now + int(gap) + self.costs.context_switch
-        if st["end_event"].time <= stop_at:
+        if end[0] <= stop_at:
             # The slice ends before we could stop it; let it finish.
             return
-        self._steal_stop_pending = True
-        st["end_event"].cancel()
-        self.sim.post_at(stop_at, self._pause_steal, "d-steal-pause")
+        self._steal_end = None
+        self.sim.cancel(end)
+        self.sim.post_at(stop_at, self._pause_steal)
 
-    def _pause_steal(self):
-        st = self._steal
-        if st is None:
+    def _pause_steal(self, _):
+        if self._steal_request is None:
             return  # the crash sweep already reclaimed the slice
-        self._steal = None
-        self._steal_stop_pending = False
         now = self.sim.now
-        self._account_steal(st, now)
-        request = st["request"]
-        exec_time = now - self.costs.context_switch - st["exec_start"]
+        exec_time = now - self.costs.context_switch - self._steal_start
+        request = self._end_steal(now)
         executed = int(exec_time // self.server.dispatcher_rate)
         executed = max(0, min(executed, request.remaining_cycles - 1))
         request.remaining_cycles -= executed
@@ -437,6 +438,53 @@ class Dispatcher:
         if probes is not None:
             probes.steal_paused(now, request)
         self._next()
+
+    # -- crash and recovery (driven by repro.faults) ----------------------------------------
+
+    def crash_sweep(self):
+        """The server crashed: reset every agent to a cold-idle state and
+        return the requests it held, in a fixed order.  Pending action and
+        worker timers go stale through their epochs; the steal slice's end
+        entry is cancelled."""
+        now = self.sim.now
+        lost = []
+        self.crash_epoch += 1
+        if self._in_action:
+            self._in_action = False
+            if self._action_request is not None:
+                lost.append(self._action_request)
+                self._action_request = None
+        for worker in self.workers:
+            lost.extend(worker.crash_sweep(now))
+        self.rebuild_load_masks()
+        lost.extend(self.rx)
+        self.rx.clear()
+        lost.extend(self.requeues)
+        self.requeues.clear()
+        self.preempts.clear()
+        policy = self.policy
+        while len(policy):
+            lost.append(policy.pop())
+        if self.steal_buffer is not None:
+            lost.append(self.steal_buffer)
+            self.steal_buffer = None
+        if self._steal_request is not None:
+            if self._steal_end is not None:
+                self.sim.cancel(self._steal_end)
+                self._steal_end = None
+            lost.append(self._steal_request)
+            self._steal_request = None
+        self.ready_workers.clear()
+        return lost
+
+    def recover(self):
+        """The server is back: drop the stale preemption entries and worker
+        registrations that stragglers queued while it was down, and
+        re-register the idle workers (single-queue mode)."""
+        self.preempts.clear()
+        self.ready_workers.clear()
+        if self.single_queue:
+            self.ready_workers.extend(w for w in self.workers if w.is_idle)
 
     # -- introspection ----------------------------------------------------------------------
 
@@ -447,5 +495,5 @@ class Dispatcher:
 
     def __repr__(self):
         return "Dispatcher(rx={}, queue={}, stealing={})".format(
-            len(self.rx), len(self.policy), self._steal is not None
+            len(self.rx), len(self.policy), self._steal_request is not None
         )

@@ -137,13 +137,12 @@ class _LqWorker:
 
         duration = int(math.ceil(request.remaining_cycles * server.worker_rate))
         completion_at = run_start + duration
-        self.sim.post_at(completion_at, self._on_complete, "lq-done", epoch)
+        self.sim.post_at(completion_at, self._on_complete, epoch)
 
         quantum = server.quantum_cycles
         if quantum is not None and completion_at > run_start + quantum:
             self.sim.post_at(
-                run_start + quantum, self._quantum_expired, "lq-quantum",
-                epoch,
+                run_start + quantum, self._quantum_expired, epoch
             )
 
     def _quantum_expired(self, epoch):
@@ -186,12 +185,10 @@ class _LqWorker:
         # own queue tail (section 3.1's locality discussion).
         self.queue.append(request)
         self.sim.post(
-            costs.disruption + costs.context_switch,
-            self._after_yield,
-            "lq-yielded",
+            costs.disruption + costs.context_switch, self._after_yield
         )
 
-    def _after_yield(self):
+    def _after_yield(self, _):
         self._after(self.sim.now)
 
     def _after(self, now):
@@ -257,7 +254,7 @@ class _Scheduler:
             self._in_action = True
             self.busy_cycles += cost
             self.signals_sent += 1
-            self.sim.post(cost, self._signal_landed, "lq-signal", entry)
+            self.sim.post(cost, self._signal_landed, entry)
             return
 
     def _signal_landed(self, entry):
@@ -271,9 +268,7 @@ class _Scheduler:
         if worker.current is not None:
             elapsed = max(0, self.sim.now - (worker.run_start or 0))
             delay += self.server.defer_cycles(worker.current.kind, elapsed)
-        self.sim.post(
-            int(delay), worker.on_preempt_signal, "lq-notice", epoch
-        )
+        self.sim.post(int(delay), worker.on_preempt_signal, epoch)
         self._kick()
 
 

@@ -114,9 +114,7 @@ class ArrivalFeed:
             )
             cycle = to_cycles(t_us)
             now = self._sim.now
-            self._sim.post_at(
-                cycle if cycle > now else now, self._fire, "arrival", request
-            )
+            self._sim.post_at(cycle if cycle > now else now, self._fire, request)
             return
 
     def _fire(self, request):

@@ -151,7 +151,7 @@ class Worker:
             request.remaining_cycles * self.worker_rate
         )
         seq = sim._seq = sim._seq + 1
-        heappush(heap, (completion_at, seq, None, self._on_complete, epoch))
+        heappush(heap, (completion_at, seq, self._on_complete, epoch))
 
         quantum = self.quantum_cycles
         if quantum is not None and completion_at > run_start + quantum:
@@ -161,7 +161,7 @@ class Worker:
                 # ``quantum-expiry``: the dispatcher queues a signal.
                 seq = sim._seq = seq + 1
                 heappush(heap, (
-                    expiry, seq, None, self.dispatcher.enqueue_preempt,
+                    expiry, seq, self.dispatcher.enqueue_preempt,
                     (self, epoch),
                 ))
             else:
@@ -175,8 +175,7 @@ class Worker:
                     )
                 seq = sim._seq = seq + 1
                 heappush(heap, (
-                    expiry + int(delay), seq, None, self.on_preempt_signal,
-                    epoch,
+                    expiry + int(delay), seq, self.on_preempt_signal, epoch,
                 ))
 
     def _on_complete(self, epoch):
@@ -222,9 +221,7 @@ class Worker:
             # drops the re-fire.
             retry_at = faults.preempt_retry_at(sim.now, self.wid)
             if retry_at is not None:
-                sim.post_at(
-                    retry_at, self.on_preempt_signal, "fault-reprobe", epoch
-                )
+                sim.post_at(retry_at, self.on_preempt_signal, epoch)
                 return
         now = sim.now
         request = self.current
@@ -254,7 +251,7 @@ class Worker:
         self.dispatcher.enqueue_requeue(request)
         # ``w-yielded``, once the switch out is done.
         seq = sim._seq = sim._seq + 1
-        heappush(self._heap, (yield_done, seq, None, self._after_yield, epoch))
+        heappush(self._heap, (yield_done, seq, self._after_yield, epoch))
 
     def _after_yield(self, epoch):
         self._switching_until = None
@@ -279,6 +276,23 @@ class Worker:
             if probes is not None:
                 probes.worker_went_idle(now, self.wid)
             self.dispatcher.worker_became_idle(self)
+
+    def crash_sweep(self, now):
+        """The server crashed: drop to a cold-idle state and return the
+        requests this worker held (in service first).  Bumping the epoch
+        makes every pending completion, preemption and yield-done timer
+        stale.  The dispatcher rebuilds ``load_masks`` afterwards."""
+        lost = [] if self.current is None else [self.current]
+        lost.extend(self.local)
+        self.local.clear()
+        self.current = None
+        self.run_start = None
+        self._switching_until = None
+        self.outstanding = 0
+        self.epoch += 1
+        if self.idle_since is None:
+            self.idle_since = now
+        return lost
 
     def __repr__(self):
         return "Worker(wid={}, outstanding={}, idle={})".format(

@@ -13,17 +13,19 @@ None``, mirroring the probe-bus pattern).
 
 Crash semantics
 ---------------
-At the crash instant the server's entire in-flight population is swept:
-workers' current and local requests, the central queue, the dispatcher's
-rx/requeue buffers, the steal slice, and the request riding the in-flight
-dispatcher micro-action.  Worker epochs are bumped so every pending
-completion/preemption event goes stale, and the dispatcher's
-``crash_epoch`` invalidates its pending action-finish event.  Swept
-requests are *lost* (counted, never completing) or — with
+At the crash instant the server's entire in-flight population is swept
+by ``Dispatcher.crash_sweep`` (which resets each worker through
+``Worker.crash_sweep``): workers' current and local requests, the central
+queue, the dispatcher's rx/requeue buffers, the steal slice, and the
+request riding the in-flight dispatcher micro-action.  Worker epochs are
+bumped so every pending completion/preemption event goes stale, and the
+dispatcher's ``crash_epoch`` invalidates its pending action-finish event.
+Swept requests are *lost* (counted, never completing) or — with
 ``requeue_inflight`` — handed back to the balancer, which re-routes each
 from scratch.  While down, deliveries are dropped at the NIC.  Recovery
-clears straggler state, re-registers idle workers, and resynchronizes
-counter-mode telemetry against ground truth.
+(``Dispatcher.recover``) clears straggler state and re-registers idle
+workers; the injector resynchronizes counter-mode telemetry against
+ground truth.
 """
 
 from repro import constants
@@ -182,16 +184,13 @@ class FaultInjector:
         )
         self._blackouts = blackouts
         for _start, end in blackouts:
-            self.sim.post_at(end, self._blackout_resync, "fault-resync")
+            self.sim.post_at(end, self._blackout_resync)
 
         for spec in plan.by_type(ServerCrash):
-            at = clock.us_to_cycles(spec.at_us)
-            recover = clock.us_to_cycles(spec.recover_at_us)
+            self.sim.post_at(clock.us_to_cycles(spec.at_us), self._crash, spec)
             self.sim.post_at(
-                at, self._make_crash(spec, at, recover), "fault-crash"
-            )
-            self.sim.post_at(
-                recover, self._make_recover(spec.server), "fault-recover"
+                clock.us_to_cycles(spec.recover_at_us), self._recover,
+                spec.server,
             )
         self.balancer.injector = self
         return self
@@ -224,27 +223,19 @@ class FaultInjector:
 
     # -- crash / recovery -------------------------------------------------------
 
-    def _make_crash(self, spec, at, recover):
-        def crash():
-            self._crash(spec, at, recover)
-        return crash
-
-    def _make_recover(self, index):
-        def recover():
-            self._recover(index)
-        return recover
-
-    def _crash(self, spec, at, recover):
+    def _crash(self, spec):
         server = self.cluster.servers[spec.server]
         state = server.faults
         if state.down:
             return  # overlapping crash specs: the first one owns the window
         state.down = True
         now = self.sim.now
-        record = CrashRecord(spec.server, now, recover)
+        record = CrashRecord(
+            spec.server, now, self.clock.us_to_cycles(spec.recover_at_us)
+        )
         self.crash_log.append(record)
         self.crashes += 1
-        lost = self._sweep_inflight(server)
+        lost = server.dispatcher.crash_sweep()
         if spec.requeue_inflight:
             record.requeued = len(lost)
             self.requeued_total += len(lost)
@@ -260,51 +251,6 @@ class FaultInjector:
         if probes is not None:
             probes.server_crashed(now, spec.server, len(lost))
 
-    def _sweep_inflight(self, server):
-        """Collect every request alive on ``server`` and reset its agents to
-        a cold-idle state; pending events are invalidated via epochs."""
-        now = self.sim.now
-        lost = []
-        d = server.dispatcher
-        d.crash_epoch += 1
-        if d._in_action:
-            d._in_action = False
-            if d._action_request is not None:
-                lost.append(d._action_request)
-                d._action_request = None
-        for worker in server.workers:
-            if worker.current is not None:
-                lost.append(worker.current)
-                worker.current = None
-            lost.extend(worker.local)
-            worker.local.clear()
-            worker.run_start = None
-            worker._switching_until = None
-            worker.outstanding = 0
-            worker.epoch += 1
-            if worker.idle_since is None:
-                worker.idle_since = now
-        d.rebuild_load_masks()
-        lost.extend(d.rx)
-        d.rx.clear()
-        lost.extend(d.requeues)
-        d.requeues.clear()
-        d.preempts.clear()
-        policy = server.policy
-        while len(policy):
-            lost.append(policy.pop())
-        if d.steal_buffer is not None:
-            lost.append(d.steal_buffer)
-            d.steal_buffer = None
-        if d._steal is not None:
-            st = d._steal
-            st["end_event"].cancel()
-            lost.append(st["request"])
-            d._steal = None
-            d._steal_stop_pending = False
-        d.ready_workers.clear()
-        return lost
-
     def _recover(self, index):
         server = self.cluster.servers[index]
         state = server.faults
@@ -312,15 +258,7 @@ class FaultInjector:
             return
         state.down = False
         now = self.sim.now
-        d = server.dispatcher
-        # Straggler events while down can only have queued stale preempt
-        # tuples or re-registered workers; start from a clean slate.
-        d.preempts.clear()
-        d.ready_workers.clear()
-        if server.queue_mode == "sq":
-            d.ready_workers.extend(
-                w for w in server.workers if w.is_idle
-            )
+        server.dispatcher.recover()
         self.recoveries += 1
         board = self.balancer.board
         if board.counter_mode:
@@ -331,7 +269,7 @@ class FaultInjector:
         if probes is not None:
             probes.server_recovered(now, index)
 
-    def _blackout_resync(self):
+    def _blackout_resync(self, _):
         """Blackout ended: counter-mode boards re-read ground truth (missed
         increments/decrements would otherwise skew the view forever)."""
         board = self.balancer.board

@@ -139,15 +139,14 @@ class ResilienceManager:
         """Begin the detector tick; called from ``LoadBalancer.start``."""
         if self.detector is not None and not self._ticking:
             self._ticking = True
-            self._detector_tick()
+            self._detector_tick(None)
 
-    def _detector_tick(self):
+    def _detector_tick(self, _):
         self.detector.check(self.sim.now)
         if self.resolved >= self.lb.num_requests:
             return  # drained: stop pumping so the heap empties
-        self.sim.after(
-            self.detector.check_interval_cycles, self._detector_tick,
-            "rs-detector",
+        self.sim.post(
+            self.detector.check_interval_cycles, self._detector_tick
         )
 
     # -- admission ---------------------------------------------------------------
@@ -173,10 +172,8 @@ class ResilienceManager:
         self.table[request.rid] = entry
         self._launch(entry, request)
         if self.hedge_cycles is not None:
-            entry.hedge_event = self.sim.after(
-                self.hedge_cycles,
-                self._make_hedge(request.rid),
-                "rs-hedge",
+            entry.hedge_event = self.sim.post(
+                self.hedge_cycles, self._on_hedge, request.rid
             )
 
     def _launch(self, entry, request=None, hedge=False):
@@ -210,9 +207,9 @@ class ResilienceManager:
             self.timeout_cycles * (self.config.backoff ** attempt)
         )
         if entry.timeout_event is not None:
-            entry.timeout_event.cancel()
-        entry.timeout_event = self.sim.after(
-            max(1, deadline), self._make_timeout(entry.rid), "rs-timeout"
+            self.sim.cancel(entry.timeout_event)
+        entry.timeout_event = self.sim.post(
+            max(1, deadline), self._on_timeout, entry.rid
         )
         if hedge:
             self.hedges += 1
@@ -227,16 +224,6 @@ class ResilienceManager:
                     self.sim.now, entry.rid, attempt, index
                 )
         return index
-
-    def _make_timeout(self, rid):
-        def fire():
-            self._on_timeout(rid)
-        return fire
-
-    def _make_hedge(self, rid):
-        def fire():
-            self._on_hedge(rid)
-        return fire
 
     # -- outcomes ----------------------------------------------------------------
 
@@ -277,10 +264,10 @@ class ResilienceManager:
 
     def _cancel_pending(self, entry):
         if entry.timeout_event is not None:
-            entry.timeout_event.cancel()
+            self.sim.cancel(entry.timeout_event)
             entry.timeout_event = None
         if entry.hedge_event is not None:
-            entry.hedge_event.cancel()
+            self.sim.cancel(entry.hedge_event)
             entry.hedge_event = None
 
     # -- reporting ---------------------------------------------------------------

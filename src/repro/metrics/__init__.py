@@ -1,6 +1,6 @@
 """Measurement utilities: percentiles, slowdown summaries, load sweeps."""
 
-from repro.metrics.percentile import percentile, Histogram
+from repro.metrics.percentile import percentile
 from repro.metrics.slowdown import (
     SlowdownSummary, check_warmup_frac, summarize_slowdowns,
 )
@@ -10,7 +10,6 @@ from repro.metrics.plot import ascii_plot
 
 __all__ = [
     "percentile",
-    "Histogram",
     "SlowdownSummary",
     "summarize_slowdowns",
     "check_warmup_frac",

@@ -1,4 +1,4 @@
-"""Percentile computation and a fixed-bucket histogram.
+"""Percentile computation.
 
 The paper reports the 99.9th percentile of slowdown (section 5.1); we use
 the nearest-rank-with-interpolation definition, which matches numpy's
@@ -7,7 +7,7 @@ default ("linear") method without requiring numpy in the hot path.
 
 import math
 
-__all__ = ["percentile", "Histogram"]
+__all__ = ["percentile"]
 
 
 def percentile(values, p, presorted=False):
@@ -31,72 +31,3 @@ def percentile(values, p, presorted=False):
         return float(data[low])
     frac = rank - low
     return data[low] + frac * (data[high] - data[low])
-
-
-class Histogram:
-    """A log-bucketed histogram for latency-like positive values.
-
-    Buckets grow geometrically by ``growth`` from ``least``; quantile
-    estimates are exact to within one bucket's relative width.  Useful when
-    holding every sample would be too costly.
-    """
-
-    def __init__(self, least=0.001, growth=1.02):
-        if least <= 0 or growth <= 1.0:
-            raise ValueError("need least > 0 and growth > 1")
-        self.least = least
-        self.growth = growth
-        self._log_growth = math.log(growth)
-        self._counts = {}
-        self.count = 0
-        self.total = 0.0
-        self.max_value = float("-inf")
-        self.min_value = float("inf")
-
-    def _bucket(self, value):
-        if value <= self.least:
-            return 0
-        return 1 + int(math.log(value / self.least) / self._log_growth)
-
-    def _bucket_value(self, index):
-        if index == 0:
-            return self.least
-        return self.least * self.growth ** (index - 0.5)
-
-    def add(self, value):
-        if value < 0:
-            raise ValueError("histogram values must be >= 0, got {}".format(value))
-        index = self._bucket(value)
-        self._counts[index] = self._counts.get(index, 0) + 1
-        self.count += 1
-        self.total += value
-        self.max_value = max(self.max_value, value)
-        self.min_value = min(self.min_value, value)
-
-    def extend(self, values):
-        for value in values:
-            self.add(value)
-
-    @property
-    def mean(self):
-        return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q):
-        """Estimate the ``q``-quantile (0..1)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1], got {}".format(q))
-        if self.count == 0:
-            raise ValueError("quantile of empty histogram")
-        if q >= 1.0:
-            return self.max_value
-        target = q * self.count
-        seen = 0
-        for index in sorted(self._counts):
-            seen += self._counts[index]
-            if seen >= target:
-                return min(self._bucket_value(index), self.max_value)
-        return self.max_value
-
-    def percentile(self, p):
-        """Estimate the ``p``-th percentile (0..100)."""
-        return self.quantile(p / 100.0)

@@ -5,7 +5,7 @@ The engine is deliberately small: an event heap keyed by integer timestamps
 streams.  Higher layers (:mod:`repro.core`) build scheduler agents on top.
 """
 
-from repro.sim.engine import Event, Simulator, SimulationError
+from repro.sim.engine import Simulator, SimulationError
 from repro.sim.rng import RngStreams
 
-__all__ = ["Event", "Simulator", "SimulationError", "RngStreams"]
+__all__ = ["Simulator", "SimulationError", "RngStreams"]

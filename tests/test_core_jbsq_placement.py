@@ -14,11 +14,8 @@ from hypothesis import strategies as st
 from repro.core import Server, concord
 from repro.core.presets import concord_no_steal
 from repro.core.request import Request
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
 from repro.hardware import c6420
 from repro.obs import TraceConfig, tracing
-from repro.sim.rng import RngStreams
 from repro.workloads import PoissonProcess, bimodal_50_1_50_100
 
 
@@ -76,8 +73,6 @@ def test_maintained_loads_match_a_reference_scan(num_workers, depth, ops):
         c6420(num_workers), concord_no_steal(5.0, jbsq_depth=depth), seed=0
     )
     workers = server.workers
-    injector = FaultInjector(FaultPlan(faults=()), RngStreams(0))
-    injector.sim = server.sim
     #: (worker, epoch) of yields whose yield-done has not fired yet.
     yielding = []
     rid = 0
@@ -103,7 +98,7 @@ def test_maintained_loads_match_a_reference_scan(num_workers, depth, ops):
                 worker, epoch = yielding.pop(pick % len(yielding))
                 worker._after_yield(epoch)
         else:
-            injector._sweep_inflight(server)
+            server.dispatcher.crash_sweep()
             # The swept workers' yield-done events still fire, stale, while
             # the server is down and before it takes new work.
             while yielding:

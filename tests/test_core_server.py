@@ -179,7 +179,7 @@ class TestArrivalSeam:
                 request = Request(i, "fixed", None, cycles, 1.0)
                 sim.post_at(
                     server.clock.us_to_cycles(5.0 * i + index),
-                    server.deliver, "external", request,
+                    server.deliver, request,
                 )
         sim.run()
         for index, server in enumerate(servers):

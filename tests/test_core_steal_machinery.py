@@ -25,7 +25,7 @@ class TestStealSlices:
         assert stats["steal_completions"] == len(result.stolen_requests())
         assert result.drained
         assert server.dispatcher.steal_buffer is None
-        assert server.dispatcher._steal is None
+        assert server.dispatcher._steal_request is None
 
     def test_stolen_work_charged_to_dispatcher(self):
         _server, result = overload_run()
@@ -69,7 +69,7 @@ class TestStealSlices:
         violations = []
 
         def checked():
-            if dispatcher._steal is not None:
+            if dispatcher._steal_request is not None:
                 violations.append("begin while slice active")
             original()
 

@@ -1,4 +1,4 @@
-"""Tests for percentiles, histograms, slowdown summaries, and sweeps."""
+"""Tests for percentiles, slowdown summaries, and sweeps."""
 
 import random
 
@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import (
-    Histogram,
     format_table,
     knee_load,
     percentile,
@@ -59,43 +58,6 @@ class TestPercentile:
             assert percentile(data, p) == pytest.approx(
                 float(np.percentile(data, p))
             )
-
-
-class TestHistogram:
-    def test_quantiles_approximate_exact(self):
-        r = random.Random(1)
-        data = [r.lognormvariate(0, 1) for _ in range(20000)]
-        hist = Histogram()
-        hist.extend(data)
-        exact = percentile(data, 99)
-        assert hist.percentile(99) == pytest.approx(exact, rel=0.05)
-
-    def test_mean_and_extrema(self):
-        hist = Histogram()
-        hist.extend([1.0, 2.0, 3.0])
-        assert hist.mean == pytest.approx(2.0)
-        assert hist.max_value == 3.0
-        assert hist.min_value == 1.0
-        assert hist.count == 3
-
-    def test_q1_returns_max(self):
-        hist = Histogram()
-        hist.extend([1.0, 5.0])
-        assert hist.quantile(1.0) == 5.0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Histogram().add(-1)
-
-    def test_empty_quantile_raises(self):
-        with pytest.raises(ValueError):
-            Histogram().quantile(0.5)
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            Histogram(least=0)
-        with pytest.raises(ValueError):
-            Histogram(growth=1.0)
 
 
 class TestSlowdownSummary:

@@ -142,7 +142,7 @@ class TestCallGraph:
         assert IO in analysis.effects_of("pkg.agent:Agent.start")
 
     def test_other_objects_method_passed_as_argument(self, tmp_path):
-        # ``sim.post(delay, server.deliver, name, request)``: a method of
+        # ``sim.post(delay, server.deliver, request)``: a method of
         # another object handed to the event loop with its argument.
         sources = build_package(tmp_path, {
             "server.py": """
@@ -155,7 +155,7 @@ class TestCallGraph:
             "balancer.py": """
                 class Balancer:
                     def send(self, sim, server, request):
-                        sim.post(5, server.deliver, "net", request)
+                        sim.post(5, server.deliver, request)
 
                     def read(self, server):
                         return server.rid
@@ -166,7 +166,7 @@ class TestCallGraph:
         assert not analysis.effects_of("pkg.balancer:Balancer.read")
 
     def test_method_inside_a_tuple_argument(self, tmp_path):
-        # ``heappush(heap, (t, seq, None, self.dispatcher.on_x, arg))``: an
+        # ``heappush(heap, (t, seq, self.dispatcher.on_x, arg))``: an
         # event entry pushed straight onto the heap carries its callback
         # inside a tuple, as ``obj.method`` or ``self.attr.method``.
         sources = build_package(tmp_path, {
@@ -192,20 +192,75 @@ class TestCallGraph:
 
                     def arm(self, t):
                         heappush(self.heap, (
-                            t, 1, None, self.dispatcher.on_expiry, (self, t),
+                            t, 1, self.dispatcher.on_expiry, (self, t),
                         ))
 
                     def hand_off(self, server, t):
-                        self.heap.extend([(t, 2, None, server.deliver, t)])
+                        self.heap.extend([(t, 2, server.deliver, t)])
 
                     def keep(self, t):
-                        heappush(self.heap, (t, 3, None, self.heap, t))
+                        heappush(self.heap, (t, 3, self.heap, t))
             """,
         })
         analysis = EffectAnalysis(sources)
         assert GLOBAL_RNG in analysis.effects_of("pkg.worker:Worker.arm")
         assert CLOCK in analysis.effects_of("pkg.worker:Worker.hand_off")
         assert not analysis.effects_of("pkg.worker:Worker.keep")
+
+    def test_bound_method_stored_on_an_attribute(self, tmp_path):
+        # ``self._defer = server.defer_cycles``, then ``self._defer(kind)``
+        # (or the same through a local name): the call runs the stored
+        # method, here an RNG read.
+        sources = build_package(tmp_path, {
+            "server.py": """
+                import random
+
+                class Server:
+                    def defer_cycles(self, kind):
+                        return random.random()
+            """,
+            "worker.py": """
+                import time
+
+                class Worker:
+                    def __init__(self, server):
+                        self._defer = server.defer_cycles
+                        self._stamp = self._idle
+                        self._loop = self._loop
+                        self.kind = server.kind
+
+                    def arm(self):
+                        self._stamp = self._clock
+
+                    def _idle(self):
+                        return 0
+
+                    def notice(self, kind):
+                        return self._defer(kind)
+
+                    def stamp(self):
+                        return self._stamp()
+
+                    def _clock(self):
+                        return time.time()
+
+                    def spin(self):
+                        return self._loop()
+
+                    def hoisted(self, server, kind):
+                        defer = server.defer_cycles
+                        return defer(kind)
+            """,
+        })
+        analysis = EffectAnalysis(sources)
+        notice = "pkg.worker:Worker.notice"
+        assert analysis.effects_of(notice) == {GLOBAL_RNG}
+        assert not analysis.functions[notice].externals
+        assert analysis.effects_of("pkg.worker:Worker.stamp") == {CLOCK}
+        assert not analysis.effects_of("pkg.worker:Worker.spin")
+        hoisted = "pkg.worker:Worker.hoisted"
+        assert analysis.effects_of(hoisted) == {GLOBAL_RNG}
+        assert not analysis.functions[hoisted].externals
 
     def test_super_call_reaches_base_method(self, tmp_path):
         sources = build_package(tmp_path, {
@@ -405,6 +460,18 @@ class TestRealTreeClosure:
                       "repro.core.worker:Worker._after_yield",
                       "repro.core.worker:Worker._on_complete",
                       "repro.core.server:Server.defer_cycles")
+    ] + [
+        # The faulted rack's timers: a bound method posted with its
+        # argument, and the crash sweep the injector hands to the core.
+        ("repro.parallel.jobs:RackJob.run", probe)
+        for probe in ("repro.core.dispatcher:Dispatcher._finish_slice",
+                      "repro.core.dispatcher:Dispatcher._pause_steal",
+                      "repro.core.dispatcher:Dispatcher.crash_sweep",
+                      "repro.core.worker:Worker.crash_sweep",
+                      "repro.faults.injector:FaultInjector._crash",
+                      "repro.faults.injector:FaultInjector._recover",
+                      "repro.faults.resilience:ResilienceManager._on_timeout",
+                      "repro.faults.resilience:ResilienceManager._on_hedge")
     ])
     def test_probe_reachable(self, analysis, entry, probe):
         assert probe in analysis.reachable_from(entry)

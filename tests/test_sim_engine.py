@@ -1,24 +1,22 @@
 """Unit tests for the discrete-event engine."""
 
 import bisect
-import functools
 import hashlib
 import json
 import random
 from heapq import heappush
-from types import SimpleNamespace
 
 import pytest
 
-from repro.sim.engine import COMPACT_MIN_DEAD, SimulationError, Simulator
+from repro.sim.engine import SimulationError, Simulator
 
 
 def test_events_fire_in_time_order():
     sim = Simulator()
     order = []
-    sim.at(30, lambda: order.append("c"))
-    sim.at(10, lambda: order.append("a"))
-    sim.at(20, lambda: order.append("b"))
+    sim.post_at(30, order.append, "c")
+    sim.post_at(10, order.append, "a")
+    sim.post_at(20, order.append, "b")
     sim.run()
     assert order == ["a", "b", "c"]
     assert sim.now == 30
@@ -28,19 +26,20 @@ def test_same_time_events_fire_fifo():
     sim = Simulator()
     order = []
     for label in "abcde":
-        sim.at(5, lambda l=label: order.append(l))
+        sim.post_at(5, order.append, label)
     sim.run()
     assert order == list("abcde")
 
 
 def test_after_schedules_relative_to_now():
+    """``post`` counts its delay from ``now``."""
     sim = Simulator()
     seen = []
 
-    def first():
-        sim.after(7, lambda: seen.append(sim.now))
+    def first(_):
+        sim.post(7, lambda _: seen.append(sim.now))
 
-    sim.at(3, first)
+    sim.post_at(3, first)
     sim.run()
     assert seen == [10]
 
@@ -48,40 +47,55 @@ def test_after_schedules_relative_to_now():
 def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []
-    event = sim.at(5, lambda: fired.append(1))
-    sim.at(1, event.cancel)
-    sim.run()
+    entry = sim.post_at(5, fired.append, 1)
+    sim.post_at(1, sim.cancel, entry)
+    assert sim.run() == 1
     assert fired == []
+    assert sim.events_run == 1
 
 
 def test_cancel_is_idempotent():
     sim = Simulator()
-    event = sim.at(5, lambda: None)
-    event.cancel()
-    event.cancel()
+    fired = []
+    entry = sim.post_at(5, fired.append, 1)
+    sim.post_at(6, fired.append, 2)
+    sim.cancel(entry)
+    sim.cancel(entry)
+    assert sim.pending == 1
     sim.run()
-    assert event.cancelled
+    assert fired == [2]
+    assert sim.pending == 0
 
 
 def test_scheduling_in_the_past_raises():
     sim = Simulator()
-    sim.at(10, lambda: None)
+
+    def tick(_):
+        pass
+
+    sim.post_at(10, tick)
     sim.run()
-    with pytest.raises(SimulationError):
-        sim.at(5, lambda: None)
+    with pytest.raises(SimulationError, match="tick at t=5 before now=10"):
+        sim.post_at(5, tick)
+    assert sim.pending == 0
 
 
 def test_negative_delay_raises():
     sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.after(-1, lambda: None)
+
+    def tock(_):
+        pass
+
+    with pytest.raises(SimulationError, match="negative delay -1 for .*tock"):
+        sim.post(-1, tock, 7)
+    assert sim.pending == 0
 
 
 def test_run_until_stops_clock_at_bound():
     sim = Simulator()
     fired = []
-    sim.at(10, lambda: fired.append(10))
-    sim.at(100, lambda: fired.append(100))
+    sim.post_at(10, fired.append, 10)
+    sim.post_at(100, fired.append, 100)
     sim.run(until=50)
     assert fired == [10]
     assert sim.now == 50
@@ -93,7 +107,7 @@ def test_run_max_events_bounds_execution():
     sim = Simulator()
     count = []
     for t in range(1, 11):
-        sim.at(t, lambda: count.append(1))
+        sim.post_at(t, count.append)
     executed = sim.run(max_events=4)
     assert executed == 4
     assert len(count) == 4
@@ -106,49 +120,31 @@ def test_events_scheduled_during_run_are_executed():
     def chain(n):
         seen.append(n)
         if n < 5:
-            sim.after(1, lambda: chain(n + 1))
+            sim.post(1, chain, n + 1)
 
-    sim.at(0, lambda: chain(1))
+    sim.post_at(0, chain, 1)
     sim.run()
     assert seen == [1, 2, 3, 4, 5]
 
 
 def test_pending_counts_live_events_only():
     sim = Simulator()
-    keep = sim.at(10, lambda: None)
-    drop = sim.at(20, lambda: None)
-    drop.cancel()
+    keep = sim.post_at(10, print)
+    drop = sim.post_at(20, print)
+    sim.cancel(drop)
     assert sim.pending == 1
-    assert keep.time == 10
-
-
-def test_peek_time_skips_cancelled():
-    sim = Simulator()
-    first = sim.at(5, lambda: None)
-    sim.at(9, lambda: None)
-    first.cancel()
-    assert sim.peek_time() == 9
-
-
-def test_peek_time_none_after_cancelling_a_fired_event():
-    """Cancelling a far event after it fired leaves no phantom entry."""
-    sim = Simulator()
-    sim.at(9, lambda: None)
-    far = sim.at(2**20, lambda: None)
-    sim.run()
-    far.cancel()
-    assert sim.peek_time() is None
+    assert keep[0] == 10
 
 
 def test_zero_delay_event_runs_after_current_callback():
     sim = Simulator()
     order = []
 
-    def outer():
-        sim.after(0, lambda: order.append("inner"))
+    def outer(_):
+        sim.post(0, order.append, "inner")
         order.append("outer")
 
-    sim.at(1, outer)
+    sim.post_at(1, outer)
     sim.run()
     assert order == ["outer", "inner"]
 
@@ -156,7 +152,7 @@ def test_zero_delay_event_runs_after_current_callback():
 def test_events_run_counter():
     sim = Simulator()
     for t in range(1, 6):
-        sim.at(t, lambda: None)
+        sim.post_at(t, len, ())
     sim.run()
     assert sim.events_run == 5
 
@@ -170,10 +166,10 @@ def test_zero_delay_self_reschedule():
     def chain(n):
         order.append((sim.now, n))
         if n < 5:
-            sim.after(0, lambda: chain(n + 1))
+            sim.post(0, chain, n + 1)
 
-    sim.at(10, lambda: chain(0))
-    sim.at(10, lambda: order.append((sim.now, "peer")))
+    sim.post_at(10, chain, 0)
+    sim.post_at(10, lambda _: order.append((sim.now, "peer")))
     sim.run()
     assert order == [(10, 0), (10, "peer")] + [(10, k) for k in range(1, 6)]
     assert sim.now == 10
@@ -181,70 +177,75 @@ def test_zero_delay_self_reschedule():
 
 
 def test_cancel_then_reschedule_same_slot():
-    """Cancelling a handle and rescheduling its callback at the same time
-    fires exactly once, and the counters account for the dead entry."""
+    """Cancelling an entry and rescheduling its callback at the same time
+    fires exactly once; the dead entry is neither run nor counted."""
     sim = Simulator()
     fired = []
-    first = sim.at(50, lambda: fired.append("first"))
-    first.cancel()
-    first.cancel()  # idempotent; counted once
-    again = sim.at(50, lambda: fired.append("again"))
+    first = sim.post_at(50, fired.append, "first")
+    sim.cancel(first)
+    sim.cancel(first)
+    sim.post_at(50, fired.append, "again")
+    assert sim.pending == 1
     sim.run()
     assert fired == ["again"]
-    assert not again.cancelled
-    assert sim.events_cancelled == 1
     assert sim.events_run == 1
+    assert sim.pending == 0
 
 
-def test_post_fires_without_handle():
+def test_post_returns_its_queue_entry():
+    """The handle is the heap entry itself: ``(time, seq, callback, arg)``."""
     sim = Simulator()
     seen = []
-    assert sim.post(5, lambda: seen.append(sim.now)) is None
-    assert sim.post_at(5, lambda: seen.append(sim.now * 10)) is None
-    sim.post(0, lambda: seen.append(0))
+    assert sim.post(5, seen.append) == (5, 1, seen.append, None)
+    assert sim.post_at(5, seen.append, 50) == (5, 2, seen.append, 50)
+    assert sim.post(0, seen.append, 0) == (0, 3, seen.append, 0)
     sim.run()
-    assert seen == [0, 5, 50]
+    assert seen == [0, None, 50]
     assert sim.events_run == 3
 
 
-def test_post_and_after_share_fifo_order():
+def test_cancel_after_fire_leaves_no_phantom_entry():
+    """A fired entry sorts before everything queued after it, so cancelling
+    it later marks nothing dead, even once the queue has refilled."""
     sim = Simulator()
-    order = []
-    sim.after(5, lambda: order.append("a"))
-    sim.post(5, lambda: order.append("b"))
-    sim.after(5, lambda: order.append("c"))
-    sim.post_at(5, lambda: order.append("d"))
+    fired = []
+    sim.post_at(9, fired.append, "near")
+    far = sim.post_at(2**20, fired.append, "far")
     sim.run()
-    assert order == ["a", "b", "c", "d"]
+    sim.post(0, fired.append, "same-time")
+    sim.post(5, fired.append, "later")
+    sim.cancel(far)
+    assert sim.pending == 2
+    assert sim.run() == 2
+    assert fired == ["near", "far", "same-time", "later"]
 
 
 class TestPostArgument:
-    """``post``/``post_at`` carry an optional argument to the callback."""
+    """``post``/``post_at`` hand their ``arg`` to the callback."""
 
     def test_none_is_delivered_as_none(self):
         sim = Simulator()
         seen = []
-        sim.post(1, seen.append, "x", None)
-        sim.post_at(2, seen.append, "y", arg=None)
+        sim.post(1, seen.append)
+        sim.post_at(2, seen.append, arg=None)
         sim.run()
         assert seen == [None, None]
 
     def test_with_and_without_argument_stay_fifo(self):
         sim = Simulator()
         order = []
-        sim.post(5, order.append, "a", "a")
-        sim.post(5, lambda: order.append("b"))
-        sim.after(5, lambda: order.append("c"))
-        sim.post_at(5, order.append, "d", "d")
-        sim.post_at(5, lambda: order.append("e"))
+        sim.post(5, order.append, "a")
+        sim.post(5, order.append)
+        sim.post_at(5, order.append, "c")
+        sim.post_at(5, order.append)
         sim.run()
-        assert order == ["a", "b", "c", "d", "e"]
+        assert order == ["a", None, "c", None]
 
     def test_step_delivers_the_argument(self):
         sim = Simulator()
         seen = []
-        sim.post(3, seen.append, "x", 7)
-        sim.post(4, lambda: seen.append("bare"))
+        sim.post(3, seen.append, 7)
+        sim.post(4, seen.append, "bare")
         assert sim.run(max_events=1) == 1
         assert (seen, sim.now) == ([7], 3)
         assert sim.run(max_events=1) == 1
@@ -255,7 +256,7 @@ class TestPostArgument:
         sim = Simulator()
         seen = []
         for i in range(4):
-            sim.post_at(10 * (i + 1), seen.append, "x", i)
+            sim.post_at(10 * (i + 1), seen.append, i)
         assert sim.run(max_events=2) == 2
         assert (seen, sim.now, sim.pending) == ([0, 1], 20, 2)
         assert sim.run(max_events=0) == 0
@@ -266,55 +267,42 @@ class TestPostArgument:
     def test_head_past_until_stays_queued(self):
         sim = Simulator()
         seen = []
-        sim.post_at(100, seen.append, "x", "late")
-        sim.post_at(10, seen.append, "x", "early")
+        sim.post_at(100, seen.append, "late")
+        sim.post_at(10, seen.append, "early")
         assert sim.run(until=50) == 1
         assert (seen, sim.now, sim.pending) == (["early"], 50, 1)
-        assert sim.peek_time() == 100
+        assert sim.run(until=99) == 0
         assert sim.run(until=100) == 1
         assert (seen, sim.now, sim.pending) == (["early", "late"], 100, 0)
 
     def test_cancelled_head_past_until_is_dropped(self):
         sim = Simulator()
         seen = []
-        sim.after(100, lambda: seen.append("cancelled")).cancel()
-        sim.post_at(200, seen.append, "x", "kept")
+        sim.cancel(sim.post(100, seen.append, "cancelled"))
+        sim.post_at(200, seen.append, "kept")
         assert sim.run(until=150) == 0
-        assert (sim.now, sim.pending, sim.dead_in_heap) == (150, 1, 0)
+        assert (sim.now, sim.pending, len(sim._heap)) == (150, 1, 1)
         sim.run()
         assert seen == ["kept"]
 
-    def test_compact_and_peek_keep_argument_entries(self):
-        sim = Simulator()
-        seen = []
-        handles = [sim.after(1, lambda: seen.append("dead"))
-                   for _ in range(10)]
-        sim.post(5, seen.append, "x", "live")
-        sim.post(6, seen.append, "x", None)
-        for handle in handles:
-            handle.cancel()
-        sim.compact()
-        assert sim.heap_size == 2
-        assert sim.peek_time() == 5
-        sim.run()
-        assert seen == ["live", None]
-
 
 class TestDirectPush:
-    """Hot sites push ``(time, seq, None, callback, arg)`` onto the heap
+    """Hot sites push ``(time, seq, callback, arg)`` onto the heap
     themselves; the drain loop keeps the "never in the past" check."""
 
     @staticmethod
     def push(sim, time, callback, arg):
         seq = sim._seq = sim._seq + 1
-        heappush(sim._heap, (time, seq, None, callback, arg))
+        entry = (time, seq, callback, arg)
+        heappush(sim._heap, entry)
+        return entry
 
-    def test_shares_order_with_post_and_after(self):
+    def test_shares_order_with_post_and_post_at(self):
         sim = Simulator()
         order = []
-        sim.post(5, order.append, "a", "a")
+        sim.post(5, order.append, "a")
         self.push(sim, 5, order.append, "b")
-        sim.after(5, lambda: order.append("c"))
+        sim.post_at(5, order.append, "c")
         self.push(sim, 3, order.append, "first")
         sim.run()
         assert order == ["first", "a", "b", "c"]
@@ -334,11 +322,11 @@ class TestDirectPush:
         def stale_timer(arg):
             seen.append(arg)
 
-        def push_into_the_past():
+        def push_into_the_past(_):
             self.push(sim, sim.now - 1, stale_timer, "late")
 
         sim.post_at(10, push_into_the_past)
-        sim.post_at(20, seen.append, "x", "kept")
+        sim.post_at(20, seen.append, "kept")
         with pytest.raises(SimulationError, match="stale_timer") as info:
             sim.run()
         assert "t=9 before now=10" in str(info.value)
@@ -349,13 +337,22 @@ class TestDirectPush:
 
     def test_post_and_post_at_still_raise_eagerly(self):
         sim = Simulator()
-        sim.post_at(10, lambda: None)
+        sim.post_at(10, print)
         sim.run()
-        with pytest.raises(SimulationError, match="'tick' at t=5"):
-            sim.post_at(5, lambda: None, "tick")
-        with pytest.raises(SimulationError, match="'tock'"):
-            sim.post(-1, lambda: None, "tock", 7)
+        with pytest.raises(SimulationError, match="print at t=5"):
+            sim.post_at(5, print)
+        with pytest.raises(SimulationError, match="for print"):
+            sim.post(-1, print, 7)
         assert sim.pending == 0
+
+    def test_pushed_entry_is_a_handle(self):
+        sim = Simulator()
+        seen = []
+        entry = self.push(sim, 5, seen.append, "pushed")
+        sim.cancel(entry)
+        assert sim.pending == 0
+        assert sim.run() == 0
+        assert seen == []
 
 
 def test_bounded_run_then_late_insert():
@@ -363,11 +360,11 @@ def test_bounded_run_then_late_insert():
     the bound and the next queued event still fire, in order."""
     sim = Simulator()
     seen = []
-    sim.at(1000, lambda: seen.append("far"))
+    sim.post_at(1000, seen.append, "far")
     assert sim.run(until=500) == 0
     assert sim.now == 500
-    sim.at(600, lambda: seen.append("mid"))
-    sim.post_at(600, lambda: seen.append("mid2"))
+    sim.post_at(600, seen.append, "mid")
+    sim.post(100, seen.append, "mid2")
     sim.run()
     assert seen == ["mid", "mid2", "far"]
 
@@ -376,7 +373,7 @@ def test_step_and_max_events():
     sim = Simulator()
     seen = []
     for i in range(5):
-        sim.at(10 * (i + 1), lambda i=i: seen.append(i))
+        sim.post_at(10 * (i + 1), seen.append, i)
     assert sim.run(max_events=1) == 1
     assert seen == [0]
     assert sim.run(max_events=2) == 2
@@ -389,135 +386,75 @@ def test_reentrant_run_raises():
     sim = Simulator()
     errors = []
 
-    def reenter():
+    def reenter(_):
         try:
             sim.run()
         except SimulationError:
             errors.append(True)
 
-    sim.at(1, reenter)
+    sim.post_at(1, reenter)
     sim.run()
     assert errors == [True]
 
 
 class TestCancellationAccounting:
-    """Lazy cancellation is now counted and amortized away by compaction."""
-
-    def test_events_cancelled_and_dead_in_heap(self):
-        sim = Simulator()
-        events = [sim.at(t, lambda: None) for t in range(1, 11)]
-        for event in events[:4]:
-            event.cancel()
-        assert sim.events_cancelled == 4
-        assert sim.dead_in_heap == 4
-        assert sim.heap_size == 10
-        assert sim.pending == 6
-
-    def test_counters_through_compact_and_run(self):
-        """The counters stay live through an explicit compaction and the
-        run that drains what it left."""
-        sim = Simulator()
-        handles = [sim.at(100 + i, lambda: None) for i in range(10)]
-        for handle in handles[:4]:
-            handle.cancel()
-        sim.compact()
-        assert sim.compactions == 1
-        assert sim.dead_in_heap == 0
-        assert sim.heap_size == 6
-        assert sim.pending == 6
-        sim.run()
-        assert sim.events_run == 6
-        assert sim.heap_size == 0
+    """Cancelled entries stay queued until the drain loop reaches them;
+    ``pending`` counts only the live ones throughout."""
 
     def test_double_cancel_counted_once(self):
         sim = Simulator()
-        event = sim.at(5, lambda: None)
-        event.cancel()
-        event.cancel()
-        assert sim.events_cancelled == 1
-        assert sim.dead_in_heap == 1
+        entry = sim.post_at(5, print)
+        sim.post_at(6, print)
+        sim.cancel(entry)
+        sim.cancel(entry)
+        assert sim.pending == 1
 
     def test_cancel_after_fire_does_not_skew_accounting(self):
         sim = Simulator()
-        event = sim.at(1, lambda: None)
+        entry = sim.post_at(1, len, ())
         sim.run()
-        event.cancel()
-        assert event.cancelled
-        assert sim.events_cancelled == 0
-        assert sim.dead_in_heap == 0
+        sim.cancel(entry)
+        assert sim.pending == 0
+        sim.post(0, len, ())
+        sim.cancel(entry)
+        assert sim.pending == 1
+        assert sim.run() == 1
 
     def test_popped_dead_entries_drain_the_counter(self):
         sim = Simulator()
         for t in range(1, 6):
-            event = sim.at(t, lambda: None)
+            entry = sim.post_at(t, len, ())
             if t % 2 == 0:
-                event.cancel()
-        assert sim.dead_in_heap == 2
+                sim.cancel(entry)
+        assert sim.pending == 3
         sim.run()
-        assert sim.dead_in_heap == 0
-        assert sim.heap_size == 0
+        assert sim.pending == 0
+        assert not sim._dead and not sim._heap
         assert sim.events_run == 3
 
-    def test_explicit_compact_preserves_live_events(self):
+    def test_cancel_storm_during_run_never_drops_live_events(self):
+        """A callback cancels thousands of entries while the drain loop
+        holds its aliases to the heap and the dead set; every live entry
+        still fires, in timestamp order."""
         sim = Simulator()
         fired = []
-        for t in range(1, 21):
-            event = sim.at(t, lambda t=t: fired.append(t))
-            if t % 2 == 0:
-                event.cancel()
-        sim.compact()
-        assert sim.heap_size == 10
-        assert sim.dead_in_heap == 0
-        sim.run()
-        assert fired == list(range(1, 21, 2))
+        doomed = [sim.post_at(10 + t, fired.append, "dead")
+                  for t in range(2000)]
+        survivors = [t for t in range(3000, 3100, 7)]
+        for t in survivors:
+            sim.post_at(t, fired.append, t)
 
-    def test_compaction_storm_never_drops_live_events(self):
-        """A cancellation storm triggers automatic compaction; every live
-        event must still fire, in timestamp order."""
-        sim = Simulator()
-        fired = []
-        survivors = []
-        for t in range(1, 2001):
-            event = sim.at(t, lambda t=t: fired.append(t))
-            if t % 4 != 0:
-                event.cancel()  # 1500 cancellations >> COMPACT_MIN_DEAD
-            else:
-                survivors.append(t)
-        assert sim.events_cancelled == 1500
-        assert sim.compactions >= 1
-        # Compaction already swept most dead entries out of the heap.
-        assert sim.heap_size < 2000
+        def storm(_):
+            for entry in doomed:
+                sim.cancel(entry)
+
+        sim.post_at(0, storm)
+        assert sim.run(max_events=1) == 1
         assert sim.pending == len(survivors)
         sim.run()
         assert fired == survivors
-        assert sim.events_run == len(survivors)
-
-    def test_compaction_during_run_is_alias_safe(self):
-        """compact() rewrites the heap in place while run() holds a local
-        alias to it; live events scheduled after the storm must still fire."""
-        sim = Simulator()
-        fired = []
-        doomed = []
-
-        def storm():
-            for event in doomed:
-                event.cancel()
-
-        sim.at(0, storm)
-        for t in range(1, 2 * COMPACT_MIN_DEAD + 1):
-            doomed.append(sim.at(10 + t, lambda: fired.append("dead")))
-        sim.at(5000, lambda: fired.append("alive"))
-        sim.run()
-        assert sim.compactions >= 1
-        assert fired == ["alive"]
-        assert sim.now == 5000
-
-    def test_small_cancel_counts_do_not_compact(self):
-        sim = Simulator()
-        for t in range(1, COMPACT_MIN_DEAD):
-            sim.at(t, lambda: None).cancel()
-        assert sim.compactions == 0
-        assert sim.dead_in_heap == COMPACT_MIN_DEAD - 1
+        assert sim.events_run == 1 + len(survivors)
+        assert sim.pending == 0
 
 
 # -- differentials against a reference scheduler -----------------------------
@@ -529,36 +466,29 @@ class ReferenceScheduler:
     correct; the heap must drain every schedule in exactly its order."""
 
     def __init__(self):
-        self.now = self.events_run = self.events_cancelled = self._seq = 0
+        self.now = self.events_run = self._seq = 0
         self._queue = []
 
-    def after(self, delay, callback, name=""):
+    def post(self, delay, callback, arg=None):
         self._seq += 1
-        entry = (self.now + delay, self._seq, callback)
+        entry = (self.now + delay, self._seq, callback, arg)
         bisect.insort(self._queue, entry)
-        return SimpleNamespace(cancel=lambda: self._cancel(entry))
+        return entry
 
-    def post(self, delay, callback, name="", *arg):
-        self.after(delay, functools.partial(callback, *arg))
-
-    def _cancel(self, entry):
+    def cancel(self, entry):
         if entry in self._queue:
             self._queue.remove(entry)
-            self.events_cancelled += 1
 
     @property
     def pending(self):
         return len(self._queue)
 
-    def peek_time(self):
-        return self._queue[0][0] if self._queue else None
-
     def step(self):
         if not self._queue:
             return False
-        self.now, _seq, callback = self._queue.pop(0)
+        self.now, _seq, callback, arg = self._queue.pop(0)
         self.events_run += 1
-        callback()
+        callback(arg)
         return True
 
     def run(self, until=None, max_events=None):
@@ -577,41 +507,42 @@ class ReferenceScheduler:
 
 
 def _torture_trace(sim, seed, events=4000):
-    """A randomized schedule exercising cancels, zero delays, far timers,
-    posts, and peeks; returns the full observable trace."""
+    """A randomized schedule exercising cancels (of queued and of already
+    fired entries), zero delays, far timers and ``pending``; returns the
+    full observable trace."""
     rng = random.Random(seed)
     log = []
     handles = []
     delays = [0, 0, 1, 3, 17, 255, 256, 257, 65_535, 65_536, 2**24 + 5]
 
     def make_cb(tag):
-        def cb():
+        def cb(_):
             log.append((sim.now, tag))
             roll = rng.random()
             if roll < 0.6 and len(log) < events:
                 delay = rng.choice(delays)
                 pick = rng.random()
                 if pick < 0.4:
-                    handles.append(sim.after(delay, make_cb(tag + 1)))
+                    handles.append(sim.post(delay, make_cb(tag + 1)))
                 elif pick < 0.7:
                     sim.post(delay, make_cb(-tag))
                 else:
                     # The argument slot: one callback, state as the arg.
-                    sim.post(delay, with_arg, "arg", -tag)
+                    sim.post(delay, with_arg, -tag)
             if roll > 0.8 and handles:
-                handles.pop(rng.randrange(len(handles))).cancel()
+                sim.cancel(handles.pop(rng.randrange(len(handles))))
             if roll > 0.95:
-                log.append(("peek", sim.peek_time()))
+                log.append(("pending", sim.pending))
         return cb
 
     def with_arg(tag):
-        make_cb(tag)()
+        make_cb(tag)(None)
 
     # Seeds packed into 50 cycles, so same-time ties are common.
     for k in range(40):
-        sim.after(rng.randrange(0, 50), make_cb(k))
+        sim.post(rng.randrange(0, 50), make_cb(k))
     sim.run()
-    return log, sim.now, sim.events_run, sim.events_cancelled, sim.pending
+    return log, sim.now, sim.events_run, sim.pending
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -625,23 +556,25 @@ def _bounded_trace(sim, seed):
     log = []
 
     def make_cb(tag):
-        def cb():
+        def cb(_):
             log.append((sim.now, tag))
             if len(log) < 800:
                 delay = rng.choice([0, 1, 100, 65_536])
                 if rng.random() < 0.5:
-                    sim.after(delay, make_cb(tag + 1))
+                    sim.post(delay, make_cb(tag + 1))
                 else:
-                    sim.post(delay, with_arg, "arg", tag + 1)
+                    sim.post(delay, with_arg, tag + 1)
                 if rng.random() < 0.3:
-                    sim.after(rng.choice([5, 500]), make_cb(tag + 2)).cancel()
+                    sim.cancel(
+                        sim.post(rng.choice([5, 500]), make_cb(tag + 2))
+                    )
         return cb
 
     def with_arg(tag):
-        make_cb(tag)()
+        make_cb(tag)(None)
 
     for k in range(10):
-        sim.after(rng.randrange(0, 400), make_cb(k))
+        sim.post(rng.randrange(0, 400), make_cb(k))
     t = 0
     while len(log) < 1500:
         t += rng.choice([50, 333, 70_000])
@@ -651,7 +584,7 @@ def _bounded_trace(sim, seed):
             break
     for _ in range(5):
         log.append(("step", sim.run(max_events=1), sim.now))
-    return log, sim.events_run, sim.events_cancelled
+    return log, sim.events_run
 
 
 @pytest.mark.parametrize("seed", range(3))

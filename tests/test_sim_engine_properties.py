@@ -16,7 +16,7 @@ def test_events_fire_in_nondecreasing_time_order(times):
     sim = Simulator()
     fired = []
     for t in times:
-        sim.at(t, lambda t=t: fired.append(sim.now))
+        sim.post_at(t, lambda _: fired.append(sim.now))
     sim.run()
     assert fired == sorted(fired)
     assert len(fired) == len(times)
@@ -34,17 +34,19 @@ def test_cancelled_events_never_fire(times, cancel_mask):
     fired = []
     events = []
     for index, t in enumerate(times):
-        events.append(sim.at(t, lambda i=index: fired.append(i)))
+        events.append(sim.post_at(t, fired.append, index))
     expected = set()
     for index, (event, cancel) in enumerate(zip(events, cancel_mask)):
         if cancel:
-            event.cancel()
+            sim.cancel(event)
         else:
             expected.add(index)
     # Indices beyond the mask stay live.
     expected |= set(range(len(cancel_mask), len(times)))
-    sim.run()
+    assert sim.pending == len(expected)
+    assert sim.run() == len(expected)
     assert set(fired) == expected
+    assert sim.pending == 0
 
 
 @given(
@@ -57,13 +59,13 @@ def test_self_scheduling_chains_all_complete(chain_lengths):
     completed = []
 
     def make_chain(chain_id, remaining):
-        def step():
+        def step(_):
             if remaining > 1:
                 make_chain(chain_id, remaining - 1)
             else:
                 completed.append(chain_id)
 
-        sim.after(1, step)
+        sim.post(1, step)
 
     for chain_id, length in enumerate(chain_lengths):
         make_chain(chain_id, length)
@@ -81,7 +83,7 @@ def test_run_until_partitions_the_schedule(times, bound):
     sim = Simulator()
     fired = []
     for t in times:
-        sim.at(t, lambda t=t: fired.append(t))
+        sim.post_at(t, fired.append, t)
     sim.run(until=bound)
     assert all(t <= bound for t in fired)
     before = len(fired)
