@@ -432,7 +432,27 @@ class TestCancellationAccounting:
         assert not sim._dead and not sim._heap
         assert sim.events_run == 3
 
-    def test_cancel_storm_during_run_never_drops_live_events(self):
+    def test_compaction_storm_never_drops_live_events(self):
+        """A cancellation storm before the run (the load that once
+        triggered compaction) leaves every live entry to fire, in
+        timestamp order, and the dead ones to drain with the heap."""
+        sim = Simulator()
+        fired = []
+        survivors = []
+        for t in range(1, 2001):
+            entry = sim.post_at(t, fired.append, t)
+            if t % 4 != 0:
+                sim.cancel(entry)
+            else:
+                survivors.append(t)
+        assert sim.pending == len(survivors)
+        sim.run()
+        assert fired == survivors
+        assert sim.events_run == len(survivors)
+        assert sim.pending == 0
+        assert not sim._dead and not sim._heap
+
+    def test_compaction_during_run_is_alias_safe(self):
         """A callback cancels thousands of entries while the drain loop
         holds its aliases to the heap and the dead set; every live entry
         still fires, in timestamp order."""
