@@ -1,4 +1,5 @@
-"""Benchmarks: the extension experiments (JBSQ depth, SRPT, safety)."""
+"""Benchmarks: the extension experiments (JBSQ depth, SRPT, safety,
+scaling, the rack layer and fault injection)."""
 
 from conftest import run_once
 
@@ -39,3 +40,28 @@ def test_ext_scaling(quality):
     # But global visibility still balances heavy tails better.
     assert dispersion.summary["logical_p999"] > 0
     assert dispersion.summary["physical_p999"] > 0
+
+
+def test_ext_cluster(quality):
+    headline, staleness = run_once("ext-cluster", quality)
+    # Queue-aware routing beats oblivious spraying at high load, for every
+    # intra-server mechanism.
+    for mechanism in ("Concord", "Shinjuku", "No-preempt"):
+        key = "{}_random_over_jsq_p99_at_0.85".format(mechanism)
+        assert headline.summary[key] > 1, key
+    # Power-of-two choices also beats random on the Concord rack.
+    concord = headline.headers.index("Concord p99")
+    p99 = {
+        row[1]: row[concord] for row in headline.rows if row[0] == 0.85
+    }
+    assert p99["po2"] < p99["random"]
+    # A staler queue signal only ever hurts JSQ's tail.
+    assert staleness.summary["degradation_monotone"] is True
+
+
+def test_ext_faults(quality):
+    _blackout, recovery = run_once("ext-faults", quality)
+    # Detector + retry restores >= 90% of the fault-free goodput ...
+    assert recovery.summary["retry_restores_90pct"] is True
+    # ... which a crash without resilience visibly loses.
+    assert recovery.summary["jsq_goodput_none"] < 1

@@ -368,10 +368,20 @@ def _is_frozen_dataclass(node, imports):
     return False
 
 
-def local_set_names(func_node, ctx):
-    """Names assigned a set-typed value anywhere in ``func_node``."""
+_NESTED_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def local_set_names(scope, ctx):
+    """Names assigned a set-typed value in ``scope``'s own body: a def's
+    statements, or a module's, without the bodies of the functions and
+    lambdas defined there (each of those is a scope of its own)."""
     names = set()
-    for node in ast.walk(func_node):
+    pending = list(ast.iter_child_nodes(scope))
+    while pending:
+        node = pending.pop()
+        if isinstance(node, _NESTED_SCOPES):
+            continue
+        pending.extend(ast.iter_child_nodes(node))
         if isinstance(node, ast.Assign):
             inferred = ctx._infer_type(node.value)
             if inferred == "builtins.set":

@@ -8,8 +8,8 @@ argument).  This package composes N existing single-dispatcher
 
 * :class:`~repro.cluster.rack.Cluster` — build and run a rack;
 * :class:`~repro.cluster.balancer.LoadBalancer` — the routing agent;
-* :mod:`repro.cluster.policies` — random, round-robin, JSQ,
-  power-of-d-choices, and RackSched-style shortest-expected-delay;
+* :mod:`repro.cluster.policies` — random, round-robin, JSQ and
+  power-of-d-choices;
 * :class:`~repro.cluster.network.NetworkFabric` — hop latency and the
   telemetry-staleness model that makes stale-queue-signal effects emerge;
 * :class:`~repro.cluster.rack.ClusterResult` — rack-wide merged metrics.
@@ -23,7 +23,6 @@ from repro.cluster.policies import (
     Po2Policy,
     RandomPolicy,
     RoundRobinPolicy,
-    ShortestExpectedDelayPolicy,
     make_cluster_policy,
 )
 from repro.cluster.balancer import LoadBalancer
@@ -37,7 +36,6 @@ __all__ = [
     "RoundRobinPolicy",
     "JSQPolicy",
     "Po2Policy",
-    "ShortestExpectedDelayPolicy",
     "make_cluster_policy",
     "CLUSTER_POLICIES",
     "LoadBalancer",

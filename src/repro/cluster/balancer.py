@@ -6,8 +6,8 @@ the *same* arrival randomness hits every policy under test — common random
 numbers at rack scale), consults its inter-server policy for each request,
 and ships the request across the fabric to the chosen server's
 :meth:`~repro.core.server.Server.deliver`.  Completions
-travel back across one hop; in counter-telemetry mode their landing is what
-decrements the balancer's queue view.
+travel back across one hop; the balancer's queue view comes only from the
+servers' periodic telemetry reports.
 """
 
 import functools
@@ -48,11 +48,8 @@ class LoadBalancer:
         self.clock = clock
         self.servers = list(servers)
         self.policy = policy
-        policy.prepare(self.servers)
         self.fabric = fabric
-        self.board = TelemetryBoard(
-            len(self.servers), counter_mode=fabric.counter_telemetry
-        )
+        self.board = TelemetryBoard(len(self.servers))
         self.rng_arrival = streams.stream("lb-arrivals")
         self.rng_service = streams.stream("lb-service")
         self.rng_route = streams.stream("lb-route")
@@ -91,7 +88,7 @@ class LoadBalancer:
                       self.rng_service),
             self._admit,
         )
-        self._start_telemetry()
+        self._telemetry_tick(None)
         if self.resilience is not None:
             self.resilience.start()
 
@@ -143,9 +140,6 @@ class LoadBalancer:
         if "routed_cycle" not in payload:
             payload["routed_cycle"] = now
         self.routed[index] += 1
-        injector = self.injector
-        if injector is None or not injector.telemetry_frozen(now):
-            self.board.on_route(index)
         probes = self.probes
         if probes is not None:
             probes.request_routed(now, request, index)
@@ -178,11 +172,7 @@ class LoadBalancer:
     def _reply_landed(self, index, rid=None):
         self.replies += 1
         injector = self.injector
-        if injector is None:
-            self.board.on_reply(index)
-        else:
-            if not injector.telemetry_frozen(self.sim.now):
-                self.board.on_reply(index)
+        if injector is not None:
             injector.note_reply(index, self.sim.now)
         probes = self.probes
         if probes is not None:
@@ -207,11 +197,6 @@ class LoadBalancer:
         return self.replies + lost >= self.num_requests
 
     # -- telemetry --------------------------------------------------------------
-
-    def _start_telemetry(self):
-        if self.board.counter_mode:
-            return
-        self._telemetry_tick(None)
 
     def _telemetry_tick(self, _):
         """Sample every server's true queue length and ship the reports to

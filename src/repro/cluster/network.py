@@ -8,10 +8,8 @@ the crux).  This module keeps both knobs explicit:
   **hop** of the rack fabric (base latency + uniform jitter), so routing
   decisions always act on a state snapshot that is at least one hop old;
 * the balancer's per-server queue lengths live on a :class:`TelemetryBoard`
-  that is either maintained by the balancer's own request/reply accounting
-  (``telemetry_interval_us <= 0`` — the idealized switch-counter model of
-  RackSched) or refreshed by **periodic reports** sampled at the servers
-  and delayed by a hop plus a configurable extra staleness — turning the
+  that only **periodic reports** refresh: each is sampled at a server and
+  delayed by a hop plus a configurable extra staleness — turning the
   staleness knob degrades every queue-reading policy naturally.
 """
 
@@ -33,9 +31,8 @@ class NetworkFabric:
     hop_jitter_us:
         Uniform extra latency per hop in ``[0, hop_jitter_us]``.
     telemetry_interval_us:
-        Period of queue-length reports.  ``<= 0`` switches the balancer to
-        its own request/reply accounting (no reports, freshest possible
-        signal); ``> 0`` samples every server's queue each period.
+        Period of queue-length reports (``> 0``): every server's queue is
+        sampled once per period.
     telemetry_staleness_us:
         Extra report-path delay on top of the hop — the stale-signal knob.
     """
@@ -54,18 +51,18 @@ class NetworkFabric:
             raise ValueError(
                 "hop jitter must be >= 0, got {}".format(self.hop_jitter_us)
             )
+        if self.telemetry_interval_us <= 0:
+            raise ValueError(
+                "telemetry_interval_us must be > 0, got {}".format(
+                    self.telemetry_interval_us
+                )
+            )
         if self.telemetry_staleness_us < 0:
             raise ValueError(
                 "telemetry staleness must be >= 0, got {}".format(
                     self.telemetry_staleness_us
                 )
             )
-
-    @property
-    def counter_telemetry(self):
-        """True when the balancer keeps its own outstanding-request
-        counters instead of consuming periodic reports."""
-        return self.telemetry_interval_us <= 0
 
     def hop_cycles(self, clock, rng):
         """Latency of one fabric traversal, in cycles."""
@@ -91,20 +88,16 @@ class NetworkFabric:
 class TelemetryBoard:
     """The balancer's (possibly stale) view of per-server queue lengths.
 
-    In **counter mode** the board mirrors RackSched's switch counters: it
-    increments a server's entry when a request is routed there and
-    decrements it when the reply lands back at the balancer, so the view
-    lags reality by at most the in-flight reply window.  In **report mode**
-    the board only changes when a periodic telemetry report arrives; between
-    reports every policy reads frozen — possibly badly stale — values.
+    The board only changes when a periodic telemetry report arrives;
+    between reports every policy reads frozen — possibly badly stale —
+    values.
     """
 
-    def __init__(self, num_servers, counter_mode):
+    def __init__(self, num_servers):
         if num_servers < 1:
             raise ValueError("board needs at least one server")
-        self.counter_mode = counter_mode
         self._lens = [0] * num_servers
-        #: Telemetry reports applied (report mode only).
+        #: Telemetry reports applied.
         self.updates = 0
 
     def queue_len(self, index):
@@ -115,32 +108,9 @@ class TelemetryBoard:
         """The full balancer-visible view, as a list."""
         return list(self._lens)
 
-    # -- counter mode -----------------------------------------------------------
-
-    def on_route(self, index):
-        if self.counter_mode:
-            self._lens[index] += 1
-
-    def on_reply(self, index):
-        if self.counter_mode:
-            self._lens[index] = max(0, self._lens[index] - 1)
-
-    # -- report mode ------------------------------------------------------------
-
     def record_report(self, index, queue_len):
         self._lens[index] = queue_len
         self.updates += 1
 
-    # -- fault-injection resync -------------------------------------------------
-
-    def resync(self, index, queue_len):
-        """Overwrite one entry with ground truth.  Used by the fault
-        injector after a crash recovery or a counter-mode telemetry
-        blackout, where missed increments/decrements would otherwise skew
-        the view forever.  Not counted as a telemetry update."""
-        self._lens[index] = queue_len
-
     def __repr__(self):
-        return "TelemetryBoard(mode={}, lens={})".format(
-            "counter" if self.counter_mode else "report", self._lens
-        )
+        return "TelemetryBoard(lens={})".format(self._lens)

@@ -1,12 +1,13 @@
 """Inter-server routing policies for the rack load balancer.
 
 The catalogue follows RackSched's design space (section 4): oblivious
-policies (random, round-robin), queue-aware policies (JSQ, power-of-d
-choices), and the shortest-expected-delay policy RackSched deploys on the
-ToR switch, which weights the queue signal by each server's service
-capacity.  All queue-aware policies read the balancer's
+policies (random, round-robin) and queue-aware policies (JSQ, power-of-d
+choices).  RackSched's deployed shortest-expected-delay policy weights the
+queue signal by server capacity; every rack here is built from one
+machine, where that ranks servers exactly like JSQ, so the catalogue has
+no separate SED policy.  Both queue-aware policies read the balancer's
 :class:`~repro.cluster.network.TelemetryBoard`, so signal staleness affects
-every one of them through the same mechanism.
+both through the same mechanism.
 """
 
 __all__ = [
@@ -15,7 +16,6 @@ __all__ = [
     "RoundRobinPolicy",
     "JSQPolicy",
     "Po2Policy",
-    "ShortestExpectedDelayPolicy",
     "make_cluster_policy",
     "CLUSTER_POLICIES",
 ]
@@ -26,10 +26,6 @@ class InterServerPolicy:
 
     #: Short label used in tables and CLI flags.
     name = "?"
-
-    def prepare(self, servers):
-        """Called once with the rack's servers before routing starts; lets
-        capacity-aware policies capture per-server worker counts."""
 
     def choose(self, board, num_servers, rng):
         """Return the target server index for the next request."""
@@ -112,38 +108,6 @@ class Po2Policy(InterServerPolicy):
         return candidates[_argmin(scores, rng)]
 
 
-class ShortestExpectedDelayPolicy(InterServerPolicy):
-    """RackSched's deployed policy: join the server with the smallest
-    expected wait, ``(queue_len + 1) / capacity``.
-
-    On a homogeneous rack this reduces to JSQ; when servers differ in
-    worker count (or core frequency) the capacity weighting routes
-    proportionally more load to bigger machines.
-    """
-
-    name = "sed"
-
-    def __init__(self):
-        self._capacity = None
-
-    def prepare(self, servers):
-        self._capacity = [
-            server.machine.num_workers * server.clock.freq_hz
-            for server in servers
-        ]
-
-    def choose(self, board, num_servers, rng):
-        if self._capacity is None or len(self._capacity) != num_servers:
-            # Un-prepared (or rack changed): fall back to unit capacities.
-            capacity = [1.0] * num_servers
-        else:
-            capacity = self._capacity
-        scores = [
-            (board.queue_len(i) + 1) / capacity[i] for i in range(num_servers)
-        ]
-        return _argmin(scores, rng)
-
-
 #: Factories for every named policy, keyed by CLI/experiment label.
 CLUSTER_POLICIES = {
     "random": RandomPolicy,
@@ -151,12 +115,11 @@ CLUSTER_POLICIES = {
     "round-robin": RoundRobinPolicy,
     "jsq": JSQPolicy,
     "po2": Po2Policy,
-    "sed": ShortestExpectedDelayPolicy,
 }
 
 
 def make_cluster_policy(spec):
-    """Build a policy from a name ("random", "rr", "jsq", "sed", "po<d>")
+    """Build a policy from a name ("random", "rr", "jsq", "po<d>")
     or pass an :class:`InterServerPolicy` through; ValueError otherwise."""
     if isinstance(spec, InterServerPolicy):
         return spec

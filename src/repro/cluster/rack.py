@@ -26,6 +26,11 @@ __all__ = ["Cluster", "ClusterResult"]
 class Cluster:
     """A rack of ``num_servers`` identical servers behind one balancer.
 
+    Every member is built from the one ``machine``, so the rack is
+    homogeneous: capacity-weighted routing would rank servers exactly like
+    JSQ, and the queue-aware policies read only the periodic telemetry
+    reports of the :class:`~repro.cluster.network.NetworkFabric`.
+
     Parameters
     ----------
     machine, config:
@@ -34,7 +39,7 @@ class Cluster:
     num_servers:
         Rack width.
     policy:
-        Inter-server policy name ("random", "rr", "jsq", "po2", "sed") or
+        Inter-server policy name ("random", "rr", "jsq", "po2", "po<d>") or
         an :class:`~repro.cluster.policies.InterServerPolicy` instance.
     fabric:
         Optional :class:`~repro.cluster.network.NetworkFabric`; defaults to
@@ -201,8 +206,7 @@ class ClusterResult(SimResult):
         #: ``[server, suspect_cycle, clear_cycle_or_None]`` detector rows.
         self.suspicion_intervals = (
             [list(row) for row in manager.detector.intervals]
-            if manager is not None and manager.detector is not None
-            else []
+            if manager is not None else []
         )
         #: Admission-to-first-reply latency per completed logical request
         #: (µs, rid order) — the client-side recovery-timeline signal.

@@ -174,7 +174,7 @@ def _build_parser():
         help="intra-server mechanism (default: concord)",
     )
     rack_parser.add_argument(
-        "--policies", default="random,rr,jsq,po2,sed", type=_policy_list,
+        "--policies", default="random,rr,jsq,po2", type=_policy_list,
         help="comma-separated inter-server policies",
     )
     rack_parser.add_argument(

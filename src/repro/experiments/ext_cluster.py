@@ -7,13 +7,16 @@ measures the rack-wide p99 slowdown:
 
 * **Part 1 (headline):** p99 vs load for every inter-server policy ×
   intra-server mechanism.  The two-layer claim to reproduce: queue-aware
-  routing (JSQ/Po2/SED) beats oblivious routing at every load, *and* the
+  routing (JSQ/Po2) beats oblivious routing at every load, *and* the
   best inter-server policy cannot rescue a rack whose members schedule
   poorly inside — approximate-optimal intra-server scheduling is necessary
   but not sufficient.
-* **Part 2:** shortest-expected-delay under increasing telemetry
-  staleness — RackSched's stale-signal degradation, reproduced by turning
-  the fabric's report-delay knob.
+* **Part 2:** JSQ under increasing telemetry staleness — RackSched's
+  stale-signal degradation, reproduced by turning the fabric's report-delay
+  knob.
+
+The rack's servers are identical, where RackSched's shortest-expected-delay
+policy ranks servers exactly like JSQ, so JSQ stands in for it.
 """
 
 from repro.cluster import NetworkFabric
@@ -25,7 +28,7 @@ from repro.workloads.named import bimodal_50_1_50_100
 
 QUANTUM_US = 5.0
 WORKERS_PER_SERVER = 4
-POLICIES = ["random", "rr", "jsq", "po2", "sed"]
+POLICIES = ["random", "rr", "jsq", "po2"]
 LOAD_FRACTIONS = [0.5, 0.7, 0.85]
 STALENESS_GRID_US = [0.0, 25.0, 100.0, 400.0]
 
@@ -114,18 +117,17 @@ def run(quality="standard", seed=1):
     )
     results.append(headline)
 
-    # Part 2: SED under telemetry staleness (Concord rack, fixed load).
+    # Part 2: JSQ under telemetry staleness (Concord rack, fixed load).
     staleness = ExperimentResult(
         experiment_id="ext-cluster-staleness",
-        title="Shortest-expected-delay under stale telemetry "
-              "(Concord rack at 0.75 load)",
+        title="JSQ under stale telemetry (Concord rack at 0.75 load)",
         headers=["staleness_us", "p99", "p999", "imbalance"],
     )
     load = 0.75 * rack_capacity
     stale_outcomes = runner.map([
         RackJob(
             machine=machine, config=concord(QUANTUM_US),
-            num_servers=num_servers, policy="sed", workload=workload,
+            num_servers=num_servers, policy="jsq", workload=workload,
             load_rps=load, num_requests=n, seed=seed,
             fabric=NetworkFabric(telemetry_staleness_us=stale_us),
         )
@@ -144,8 +146,7 @@ def run(quality="standard", seed=1):
     staleness.summary["degradation_monotone"] = monotone
     staleness.note(
         "RackSched's stale-signal effect: the queue signal ages past the "
-        "service scale and shortest-expected-delay decays toward blind "
-        "routing"
+        "service scale and JSQ decays toward blind routing"
     )
     results.append(staleness)
     return results

@@ -20,9 +20,9 @@ worth when the rack misbehaves, using :mod:`repro.faults`:
   post-recovery reply), and the retry/hedge/failure counters — the
   recovery-timeline view per mechanism.
 
-Both parts route with JSQ only: the rack's servers are identical, where
-shortest-expected-delay ranks servers exactly as JSQ does and gives the
-same records (``tests/test_cluster.py``, ``tests/test_faults.py``).
+Both parts route with JSQ, the rack's queue-aware baseline.  The rack's
+servers are identical, where RackSched's shortest-expected-delay would
+rank servers exactly as JSQ does, so the rack has no separate SED policy.
 
 Acceptance (ROADMAP): the no-resilience crash run visibly loses goodput,
 and detector+retry restores >= 90% of the fault-free goodput.

@@ -3,8 +3,8 @@
 The injector is the only component that mutates simulation state on a
 fault's behalf, and it does so deterministically: fault windows are
 precomputed in cycles from the plan, the only scheduled events are the
-ones that *must* mutate state at a point in time (crash, recovery,
-blackout-end resync), and all randomness (probe-dropout Bernoulli draws)
+ones that *must* mutate state at a point in time (crash and recovery),
+and all randomness (probe-dropout Bernoulli draws)
 comes from the injector's own named RNG stream, spawned from the rack's
 master seed — so a fixed (plan, seed) pair replays bit-identically, and a
 run with no plan never touches any of this code (every hook in the core
@@ -24,8 +24,8 @@ Swept requests are *lost* (counted, never completing) or — with
 ``requeue_inflight`` — handed back to the balancer, which re-routes each
 from scratch.  While down, deliveries are dropped at the NIC.  Recovery
 (``Dispatcher.recover``) clears straggler state and re-registers idle
-workers; the injector resynchronizes counter-mode telemetry against
-ground truth.
+workers; the balancer's queue view catches up with the next periodic
+telemetry report, which no longer counts the swept requests.
 """
 
 from repro import constants
@@ -175,16 +175,13 @@ class FaultInjector:
             )
             for spec in plan.by_type(FabricDegradation)
         )
-        blackouts = tuple(
+        self._blackouts = tuple(
             (
                 clock.us_to_cycles(spec.at_us),
                 clock.us_to_cycles(spec.at_us + spec.duration_us),
             )
             for spec in plan.by_type(TelemetryBlackout)
         )
-        self._blackouts = blackouts
-        for _start, end in blackouts:
-            self.sim.post_at(end, self._blackout_resync)
 
         for spec in plan.by_type(ServerCrash):
             self.sim.post_at(clock.us_to_cycles(spec.at_us), self._crash, spec)
@@ -260,25 +257,9 @@ class FaultInjector:
         now = self.sim.now
         server.dispatcher.recover()
         self.recoveries += 1
-        board = self.balancer.board
-        if board.counter_mode:
-            # The switch re-reads its counters: lost in-flights must not
-            # leave a phantom queue pinned on the dead server.
-            board.resync(index, server.inflight)
         probes = self.balancer.probes
         if probes is not None:
             probes.server_recovered(now, index)
-
-    def _blackout_resync(self, _):
-        """Blackout ended: counter-mode boards re-read ground truth (missed
-        increments/decrements would otherwise skew the view forever)."""
-        board = self.balancer.board
-        if not board.counter_mode:
-            return
-        if self.telemetry_frozen(self.sim.now):
-            return  # still inside an overlapping blackout window
-        for index, server in enumerate(self.cluster.servers):
-            board.resync(index, server.inflight)
 
     # -- reporting --------------------------------------------------------------
 

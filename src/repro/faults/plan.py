@@ -108,10 +108,8 @@ class FabricDegradation:
 @dataclass(frozen=True)
 class TelemetryBlackout:
     """The balancer's queue view freezes during the window: in-transit
-    reports are dropped and counter-mode updates stop.  When the window
-    ends, counter-mode boards resynchronize against ground truth (the
-    switch re-reads its counters); report-mode boards refresh on the next
-    periodic report."""
+    telemetry reports are dropped.  When the window ends, the board
+    refreshes with the next periodic report."""
 
     at_us: float
     duration_us: float

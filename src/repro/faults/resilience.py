@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from repro import constants
 from repro.core.request import Request
-from repro.faults.detector import DetectorConfig, FailureDetector
+from repro.faults.detector import FailureDetector
 
 __all__ = ["ResilienceConfig", "ResilienceManager"]
 
@@ -32,14 +32,9 @@ class ResilienceConfig:
     max_retries:
         Retry budget per logical request (total launches = 1 + retries,
         plus at most one hedge).
-    backoff:
-        Deterministic multiplier on the timeout per successive attempt.
     hedge_delay_us:
         > 0 launches one duplicate attempt on a second server after this
         delay if no reply arrived yet; 0 disables hedging.
-    detector:
-        Failure-detector thresholds; None disables detection (no
-        blacklisting, purely timeout-driven retries).
     shed_queue_threshold:
         > 0 sheds arrivals at admission while the balancer-visible mean
         queue length per server is at or above this; 0 disables shedding.
@@ -47,9 +42,7 @@ class ResilienceConfig:
 
     timeout_us: float = constants.FAULT_TIMEOUT_US
     max_retries: int = constants.FAULT_MAX_RETRIES
-    backoff: float = constants.FAULT_RETRY_BACKOFF
     hedge_delay_us: float = 0.0
-    detector: object = DetectorConfig()
     shed_queue_threshold: int = 0
 
     def __post_init__(self):
@@ -57,8 +50,6 @@ class ResilienceConfig:
             raise ValueError("timeout_us must be > 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff < 1.0:
-            raise ValueError("backoff must be >= 1.0")
         if self.hedge_delay_us < 0:
             raise ValueError("hedge_delay_us must be >= 0")
         if self.shed_queue_threshold < 0:
@@ -113,12 +104,7 @@ class ResilienceManager:
             clock.us_to_cycles(self.config.hedge_delay_us)
             if self.config.hedge_delay_us > 0 else None
         )
-        self.detector = (
-            FailureDetector(
-                clock, len(balancer.servers), self.config.detector
-            )
-            if self.config.detector is not None else None
-        )
+        self.detector = FailureDetector(clock, len(balancer.servers))
         self.table = {}
         #: Logical requests resolved (completed + shed + failed); the drain
         #: condition compares this against the offered count.
@@ -137,7 +123,7 @@ class ResilienceManager:
 
     def start(self):
         """Begin the detector tick; called from ``LoadBalancer.start``."""
-        if self.detector is not None and not self._ticking:
+        if not self._ticking:
             self._ticking = True
             self._detector_tick(None)
 
@@ -191,20 +177,17 @@ class ResilienceManager:
                 payload={},
             )
         request.payload["attempt"] = attempt
-        exclude = []
         detector = self.detector
-        if detector is not None:
-            exclude.extend(detector.suspected())
+        exclude = detector.suspected()
         if attempt > 0:
             # Don't re-try the server that just failed us (unless the rack
             # leaves no alternative — _choose falls back to all servers).
             exclude.extend(entry.tried)
         index = self.lb._route_and_send(request, exclude=exclude)
         entry.tried.append(index)
-        if detector is not None:
-            detector.on_send(index, self.sim.now)
+        detector.on_send(index, self.sim.now)
         deadline = int(
-            self.timeout_cycles * (self.config.backoff ** attempt)
+            self.timeout_cycles * (constants.FAULT_RETRY_BACKOFF ** attempt)
         )
         if entry.timeout_event is not None:
             self.sim.cancel(entry.timeout_event)
@@ -229,8 +212,7 @@ class ResilienceManager:
 
     def on_reply(self, rid, index):
         now = self.sim.now
-        if self.detector is not None:
-            self.detector.on_reply(index, now)
+        self.detector.on_reply(index, now)
         entry = self.table.get(rid)
         if entry is None or entry.done or entry.failed:
             self.duplicate_replies += 1
@@ -294,13 +276,8 @@ class ResilienceManager:
             "hedges": self.hedges,
             "timeouts": self.timeouts,
             "duplicate_replies": self.duplicate_replies,
-            "suspicions": (
-                self.detector.suspicions if self.detector is not None else 0
-            ),
-            "readmissions": (
-                self.detector.readmissions
-                if self.detector is not None else 0
-            ),
+            "suspicions": self.detector.suspicions,
+            "readmissions": self.detector.readmissions,
         }
 
     def __repr__(self):

@@ -39,25 +39,11 @@ class RngStreams:
             self._streams[name] = stream
         return stream
 
-    def spawn(self, name):
-        """Return a new :class:`RngStreams` keyed off a child seed.
-
-        Useful when a sub-simulation (e.g. one load point of a sweep) needs
-        its own family of streams.
-
-        .. note:: ``spawn`` *consumes* randomness from the named stream, so
-           its result depends on how much that stream has already been used
-           and on how many times ``spawn`` was called.  New code that needs
-           stable children (e.g. per-server streams in a rack) should use
-           :meth:`spawn_key` instead.
-        """
-        return RngStreams(self.stream(name).getrandbits(63))
-
     def spawn_key(self, *key):
         """Return a child :class:`RngStreams` derived from a stable key.
 
-        The child seed is a pure function of ``(master_seed, key)``: unlike
-        :meth:`spawn` it draws nothing from any stream, so the same key
+        The child seed is a pure function of ``(master_seed, key)``: it
+        draws nothing from any stream, so the same key
         always yields the same child family regardless of call order, call
         count, or how much the parent's streams have been consumed.  Key
         parts may be strings or integers and are joined order-sensitively.

@@ -2,7 +2,7 @@
 
 Covers the acceptance criteria: a >=4-server rack runs end-to-end; JSQ and
 Po2 strictly beat random routing at high load; telemetry staleness degrades
-shortest-expected-delay monotonically; and the rack-wide metrics merge
+JSQ monotonically; and the rack-wide metrics merge
 equals pooled per-request computation.
 """
 
@@ -40,11 +40,6 @@ def run_rack(policy, load_frac=0.75, fabric=None, config=None, seed=SEED,
     )
     load = load_frac * rack_capacity_rps(workload)
     return cluster.run(workload, PoissonProcess(load), num_requests)
-
-
-def record_key(record):
-    return (record.rid, record.arrival_cycle, record.completion_cycle,
-            record.payload["server"], record.preemptions)
 
 
 class TestEndToEnd:
@@ -113,15 +108,6 @@ class TestPolicyOrdering:
         assert max(result.routed) - min(result.routed) <= 1
         assert result.imbalance() == pytest.approx(1.0, abs=0.01)
 
-    def test_sed_matches_jsq_on_homogeneous_rack(self):
-        # With identical servers, capacity weighting cancels and
-        # shortest-expected-delay degenerates to JSQ, record for record.
-        sed, jsq = run_rack("sed"), run_rack("jsq")
-        assert [record_key(r) for r in sed.records] == [
-            record_key(r) for r in jsq.records
-        ]
-        assert sed.routed == jsq.routed
-
     def test_two_layer_claim_nonpreemptive_rack_is_worse(self):
         # Inter-server balancing cannot rescue a rack whose members let
         # long requests block short ones: Concord+JSQ must beat
@@ -132,20 +118,14 @@ class TestPolicyOrdering:
 
 
 class TestStaleness:
-    def test_staleness_degrades_sed_monotonically(self):
+    def test_staleness_degrades_jsq_monotonically(self):
         tails = []
         for staleness_us in (0.0, 50.0, 200.0, 800.0):
             fabric = NetworkFabric(telemetry_staleness_us=staleness_us)
-            tails.append(run_rack("sed", fabric=fabric).summary().p99)
+            tails.append(run_rack("jsq", fabric=fabric).summary().p99)
         assert tails == sorted(tails)
         # The degradation is substantial, not a rounding artifact.
         assert tails[-1] > 2.0 * tails[0]
-
-    def test_counter_telemetry_no_reports(self):
-        fabric = NetworkFabric(telemetry_interval_us=0.0)
-        result = run_rack("jsq", fabric=fabric, num_requests=500)
-        assert result.telemetry_updates == 0
-        assert result.drained
 
     def test_report_telemetry_updates_flow(self):
         result = run_rack("jsq", num_requests=500)
@@ -187,7 +167,7 @@ class TestMetricsMerge:
 
 class TestPolicyFactory:
     def test_named_policies(self):
-        for name in ("random", "rr", "jsq", "po2", "sed"):
+        for name in ("random", "rr", "jsq", "po2"):
             assert make_cluster_policy(name).name == name
 
     def test_power_of_d_variants(self):
@@ -210,31 +190,29 @@ class TestPolicyFactory:
 
 
 class TestTelemetryBoard:
-    def test_counter_mode_tracks_outstanding(self):
-        board = TelemetryBoard(2, counter_mode=True)
-        board.on_route(0)
-        board.on_route(0)
-        board.on_route(1)
-        assert board.snapshot() == [2, 1]
-        board.on_reply(0)
-        assert board.queue_len(0) == 1
-        board.on_reply(0)
-        board.on_reply(0)  # never goes negative
-        assert board.queue_len(0) == 0
-
     def test_report_mode_ignores_routing(self):
-        board = TelemetryBoard(2, counter_mode=False)
-        board.on_route(0)
-        assert board.queue_len(0) == 0
+        # Only reports move the board: a fresh board reads zero, and each
+        # report overwrites one entry and counts one update.
+        board = TelemetryBoard(2)
+        assert board.snapshot() == [0, 0]
         board.record_report(0, 7)
-        assert board.queue_len(0) == 7
-        assert board.updates == 1
+        board.record_report(1, 3)
+        board.record_report(0, 2)
+        assert board.queue_len(0) == 2
+        assert board.snapshot() == [2, 3]
+        assert board.updates == 3
 
     def test_fabric_validation(self):
         with pytest.raises(ValueError):
             NetworkFabric(hop_latency_us=-1.0)
         with pytest.raises(ValueError):
             NetworkFabric(telemetry_staleness_us=-1.0)
+
+    def test_fabric_needs_a_report_interval(self):
+        with pytest.raises(ValueError, match="telemetry_interval_us"):
+            NetworkFabric(telemetry_interval_us=0.0)
+        with pytest.raises(ValueError, match="telemetry_interval_us"):
+            NetworkFabric().replace(telemetry_interval_us=-5.0)
 
 
 class TestZeroRequestServers:

@@ -160,6 +160,39 @@ class TestUnorderedIteration:
         """)
         assert "DET003" in fired(findings)
 
+    def test_set_name_in_another_function_not_flagged(self):
+        # Set-typed names are inferred per scope: ``names`` is a set in
+        # collect() only, so ordered() may loop over its list freely.
+        findings = check("""
+            def collect(items):
+                names = set()
+                for item in sorted(items):
+                    names.add(item)
+                return len(names)
+
+            def ordered(items):
+                names = [item for item in items]
+                out = []
+                for name in names:
+                    out.append(name)
+                return out
+        """)
+        assert fired(findings) == []
+
+    def test_set_name_from_enclosing_scopes_still_flagged(self):
+        findings = check("""
+            SEEN = set()
+
+            def outer(items):
+                pending = set(items)
+
+                def inner():
+                    return [x for x in pending] + [y for y in SEEN]
+
+                return inner()
+        """)
+        assert sum(f.rule == "DET003" for f in findings) == 2
+
 
 class TestIdentityOrder:
     def test_sort_key_id_flagged(self):
