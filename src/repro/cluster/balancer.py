@@ -229,14 +229,6 @@ class LoadBalancer:
 
     # -- introspection ----------------------------------------------------------
 
-    def imbalance(self):
-        """Max/mean ratio of per-server routed counts (1.0 = perfectly
-        even)."""
-        mean = sum(self.routed) / len(self.routed)
-        if mean <= 0:
-            return 1.0
-        return max(self.routed) / mean
-
     def __repr__(self):
         return "LoadBalancer(policy={}, offered={}, replies={})".format(
             self.policy.name, self.offered, self.replies

@@ -25,6 +25,23 @@ __all__ = ["Dispatcher"]
 class Dispatcher:
     """The dispatcher agent; see module docstring."""
 
+    # Slots, because past 30 instance attributes CPython drops a class's
+    # shared-key dict and every ``self.x`` becomes a dict probe (3.11's
+    # ``*_WITH_HINT`` forms) instead of a fixed-offset load.  A mistyped
+    # attribute write raises instead of silently adding state.
+    __slots__ = (
+        "sim", "server", "single_queue", "jbsq_depth", "_levels",
+        "locality_aware", "work_conserving", "costs", "policy", "_queued",
+        "_heap", "rng_notice", "_poll_span", "workers", "probes", "rx",
+        "preempts", "requeues", "ready_workers", "load_masks", "_in_action",
+        "crash_epoch", "_action_done", "_action_request", "_action_worker",
+        "_signal_epoch", "busy_cycles", "actions_run", "signals_sent",
+        "stale_signals_skipped", "steal_buffer", "_steal_request",
+        "_steal_start", "_steal_completes", "_steal_end", "steals_started",
+        "steal_completions", "steal_busy_cycles", "_next_cb",
+        "_register_ready_cb",
+    )
+
     def __init__(self, sim, server):
         self.sim = sim
         self.server = server
@@ -61,9 +78,13 @@ class Dispatcher:
         #: Workers move their own bit as they gain and lose requests, so
         #: placement is a lowest-set-bit lookup instead of a scan.
         self.load_masks = [0] * (config.jbsq_depth + 1)
+        #: Timer callbacks, bound once (see :mod:`repro.sim.engine`).
+        self._next_cb = self._next
+        self._register_ready_cb = self._register_ready
         for worker in self.workers:
             worker.dispatcher = self
             worker.load_masks = self.load_masks
+            worker.quantum_cb = self.enqueue_preempt
         self.rebuild_load_masks()
         self._in_action = False
         #: Bumped by the fault injector when this server crashes; the
@@ -156,7 +177,7 @@ class Dispatcher:
                     sim = self.sim
                     seq = sim._seq = sim._seq + 1
                     heappush(self._heap, (
-                        sim.now + delay, seq, self._register_ready, worker,
+                        sim.now + delay, seq, self._register_ready_cb, worker,
                     ))
                     return
             self.ready_workers.append(worker)
@@ -244,13 +265,12 @@ class Dispatcher:
                             if worker.outstanding == 0:
                                 target = worker
                                 break
-                elif self.locality_aware:
-                    if self._queued:
-                        target = self._pick_worker(policy.peek())
-                else:
-                    # Plain JBSQ placement reads only the load masks: find
-                    # a slot first, then pop (None if the queue is empty).
-                    target = self._pick_worker()
+                elif self._queued:
+                    # JBSQ placement reads the load masks (and, when
+                    # locality-aware, the head request's last worker).
+                    target = self._pick_worker(
+                        policy.peek() if self.locality_aware else None
+                    )
                 if target is not None:
                     request = policy.pop()
                 if request is None:
@@ -278,7 +298,7 @@ class Dispatcher:
         # The action timer: ``_next(crash_epoch)`` once ``cost`` elapses.
         seq = sim._seq = sim._seq + 1
         heappush(
-            self._heap, (sim.now + cost, seq, self._next, self.crash_epoch)
+            self._heap, (sim.now + cost, seq, self._next_cb, self.crash_epoch)
         )
 
     # -- dispatch ---------------------------------------------------------------------
@@ -341,8 +361,7 @@ class Dispatcher:
         sim = self.sim
         seq = sim._seq = sim._seq + 1
         heappush(self._heap, (
-            now + int(delay), seq, worker.on_preempt_signal,
-            self._signal_epoch,
+            now + int(delay), seq, worker.signal_cb, self._signal_epoch,
         ))
 
     # -- work conservation (section 3.3) --------------------------------------------------

@@ -180,8 +180,12 @@ class CacheLineCooperation(PreemptionMechanism):
         if notice is None:
             notice = UniformProbeGapNotice(profile)
         super().__init__(notice=notice)
+        # A profile can measure a small negative tax (probe placement that
+        # happens to speed the kernel up); instrumentation never makes a
+        # worker faster than uninstrumented code, so floor it at 0.
         self.proc_overhead = (
-            profile.overhead_fraction if profile is not None else proc_overhead
+            max(profile.overhead_fraction, 0.0) if profile is not None
+            else proc_overhead
         )
         if coherence is not None:
             raw_miss = coherence.probe_miss_cycles

@@ -25,6 +25,20 @@ __all__ = ["Worker"]
 class Worker:
     """One simulated worker thread."""
 
+    # Slots, as on the dispatcher: past 30 instance attributes CPython
+    # drops a class's shared-key dict and every ``self.x`` becomes a dict
+    # probe, and this class has more than that.  A mistyped attribute
+    # write raises instead of silently adding state.
+    __slots__ = (
+        "sim", "wid", "server", "local", "current", "epoch", "run_start",
+        "idle_since", "idle_cycles", "busy_cycles", "work_cycles",
+        "preemptions_taken", "wasted_signals", "requests_completed",
+        "_switching_until", "outstanding", "bit", "load_masks", "dispatcher",
+        "quantum_cb", "costs", "_switch_in", "_warm_discount", "worker_rate",
+        "quantum_cycles", "mechanism", "_signals_dispatcher", "probes",
+        "_heap", "signal_cb", "_complete_cb", "_yield_cb",
+    )
+
     def __init__(self, sim, wid, server):
         self.sim = sim
         self.wid = wid
@@ -56,10 +70,11 @@ class Worker:
         #: This worker's bit in the dispatcher's ``load_masks`` (bit ``wid``
         #: of ``load_masks[n]`` is set while ``outstanding == n``); every
         #: change of ``outstanding`` moves the bit.  The dispatcher binds
-        #: itself and the list when it is built.
+        #: itself, the list and its quantum-expiry callback when it is built.
         self.bit = 1 << wid
         self.load_masks = None
         self.dispatcher = None
+        self.quantum_cb = None
         # Per-run constants, hoisted off the server for the hot path.
         costs = self.costs = server.costs
         #: Cycles to switch a request in, and the discount for a warm
@@ -71,10 +86,17 @@ class Worker:
             server.quantum_cycles if server.preemptive else None
         )
         self.mechanism = server.mechanism
+        #: A class attribute of the mechanism, read once instead of per
+        #: slice.
+        self._signals_dispatcher = server.mechanism.needs_dispatcher_signal
         self.probes = server.probes
         #: The event heap: the per-slice timers are pushed onto it
-        #: directly (see :mod:`repro.sim.engine`).
+        #: directly, with their callbacks bound once (see
+        #: :mod:`repro.sim.engine`).
         self._heap = sim._heap
+        self.signal_cb = self.on_preempt_signal
+        self._complete_cb = self._on_complete
+        self._yield_cb = self._after_yield
 
     # -- queue state ------------------------------------------------------------
 
@@ -151,31 +173,27 @@ class Worker:
             request.remaining_cycles * self.worker_rate
         )
         seq = sim._seq = sim._seq + 1
-        heappush(heap, (completion_at, seq, self._on_complete, epoch))
+        heappush(heap, (completion_at, seq, self._complete_cb, epoch))
 
         quantum = self.quantum_cycles
         if quantum is not None and completion_at > run_start + quantum:
             expiry = run_start + quantum
-            mech = self.mechanism
-            if mech.needs_dispatcher_signal:
+            if self._signals_dispatcher:
                 # ``quantum-expiry``: the dispatcher queues a signal.
                 seq = sim._seq = seq + 1
-                heappush(heap, (
-                    expiry, seq, self.dispatcher.enqueue_preempt,
-                    (self, epoch),
-                ))
+                heappush(heap, (expiry, seq, self.quantum_cb, (self, epoch)))
             else:
                 # Self-preemption (rdtsc probes): the worker notices the
                 # elapsed quantum at its next probe, no dispatcher involved.
                 server = self.server
-                delay = mech.notice_delay_cycles(server.rng_notice)
+                delay = self.mechanism.notice_delay_cycles(server.rng_notice)
                 if server.safety_defers:
                     delay += server.defer_cycles(
                         request.kind, elapsed_cycles=quantum
                     )
                 seq = sim._seq = seq + 1
                 heappush(heap, (
-                    expiry + int(delay), seq, self.on_preempt_signal, epoch,
+                    expiry + int(delay), seq, self.signal_cb, epoch,
                 ))
 
     def _on_complete(self, epoch):
@@ -221,7 +239,7 @@ class Worker:
             # drops the re-fire.
             retry_at = faults.preempt_retry_at(sim.now, self.wid)
             if retry_at is not None:
-                sim.post_at(retry_at, self.on_preempt_signal, epoch)
+                sim.post_at(retry_at, self.signal_cb, epoch)
                 return
         now = sim.now
         request = self.current
@@ -251,7 +269,7 @@ class Worker:
         self.dispatcher.enqueue_requeue(request)
         # ``w-yielded``, once the switch out is done.
         seq = sim._seq = sim._seq + 1
-        heappush(self._heap, (yield_done, seq, self._after_yield, epoch))
+        heappush(self._heap, (yield_done, seq, self._yield_cb, epoch))
 
     def _after_yield(self, epoch):
         self._switching_until = None

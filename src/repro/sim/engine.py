@@ -18,13 +18,18 @@ that has fired sorts before every entry still queued; ``cancel`` is
 therefore a no-op for an entry that already fired.
 
 The core runtime's per-slice timers skip even the ``post`` frame and push
-the same entry themselves::
+the same entry themselves, with a callback bound once when the agent is
+built::
 
+    self._next_cb = self._next             # in __init__, once
+    ...
     seq = sim._seq = sim._seq + 1
-    heappush(heap, (time, seq, callback, arg))
+    heappush(heap, (time, seq, self._next_cb, arg))
 
 where ``heap`` is ``sim._heap`` (hoisted: the list is never rebound) and
-``time`` is an int at or after ``now``.  The drain loop keeps the "never
+``time`` is an int at or after ``now``.  Reading ``self._next`` at the
+push site would build a new bound method every time, through an attribute
+load CPython 3.11 cannot specialize.  The drain loop keeps the "never
 schedule in the past" check for such sites: it raises
 :class:`SimulationError` naming the callback when it pops an entry whose
 time is before ``now``.
@@ -33,12 +38,6 @@ time is before ``now``.
 from heapq import heappop, heappush
 
 __all__ = ["Simulator", "SimulationError"]
-
-#: Stands in for an absent ``until`` / ``max_events`` bound in :meth:`run`:
-#: an int, so the per-event compares stay int-to-int, and past any count
-#: or cycle a run reaches (a time beyond it still runs when ``until`` is
-#: None; see :meth:`run`).
-_UNBOUNDED = 1 << 128
 
 
 class SimulationError(RuntimeError):
@@ -118,22 +117,27 @@ class Simulator:
         heap = self._heap
         pop = heappop
         dead = self._dead
-        # Absent bounds become ones that never bite, so the loop compares
-        # numbers instead of testing for None on every event.
-        budget = max_events if max_events is not None else _UNBOUNDED
-        horizon = until if until is not None else _UNBOUNDED
         executed = 0
         now = self.now
         try:
-            while heap:
-                if executed >= budget:
+            # ``while True`` rather than ``while heap``: CPython 3.11 counts
+            # warm-up (and so quickens this once-entered frame) only on a
+            # plain ``JUMP_BACKWARD``, which a conditional back edge is not.
+            # Each bound is tested for None before it is compared, so an
+            # absent one costs no per-event integer compare.
+            while True:
+                if not heap:
+                    if until is not None and until > self.now:
+                        self.now = int(until)
+                    break
+                if max_events is not None and executed >= max_events:
                     break
                 entry = pop(heap)
                 time, seq, callback, arg = entry
                 if seq in dead:
                     dead.remove(seq)
                     continue
-                if time > horizon and until is not None:
+                if until is not None and time > until:
                     # Past the bound: leave it queued for a later run.
                     heappush(heap, entry)
                     self.now = int(until)
@@ -149,9 +153,6 @@ class Simulator:
                 now = self.now = time
                 callback(arg)
                 executed += 1
-            else:
-                if until is not None and until > self.now:
-                    self.now = int(until)
             self._events_run += executed
         finally:
             self._running = False

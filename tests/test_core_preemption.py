@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro import constants
+from repro.core import Server, concord
 from repro.core.preemption import (
     CacheLineCooperation,
     HalfNormalNotice,
@@ -15,7 +16,7 @@ from repro.core.preemption import (
     UniformProbeGapNotice,
     UserIPI,
 )
-from repro.hardware import CoherenceModel
+from repro.hardware import CoherenceModel, c6420
 
 
 def rng(seed=0):
@@ -113,6 +114,23 @@ class TestCacheLineCooperation:
         r = rng(2)
         delays = [mech.notice_delay_cycles(r) for _ in range(200)]
         assert max(delays) > constants.PROBE_INTERVAL_CYCLES
+
+    def test_negative_profiled_overhead_floors_at_zero(self):
+        # A kernel can profile slightly faster instrumented than not
+        # (examples/compiler_instrumentation.py's matmul reads -2.12%);
+        # the instrumented workers must still run no faster than plain.
+        class StubProfile:
+            overhead_fraction = -0.0212
+
+            def sample_gap_cycles(self, rng):
+                return 10_000
+
+        mech = CacheLineCooperation(profile=StubProfile())
+        assert mech.proc_overhead == 0.0
+        server = Server(c6420(2), concord(5.0, profile=StubProfile()), seed=1)
+        assert server.worker_rate == pytest.approx(
+            1.0 + constants.RUNTIME_PROC_OVERHEAD_FRACTION
+        )
 
 
 class TestRdtscSelfPreemption:

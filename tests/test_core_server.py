@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core import Server, concord, persephone_fcfs, shinjuku
 from repro.core.presets import concord_no_steal, coop_jbsq, ideal_single_queue
 from repro.core.request import Request
+from repro.core.worker import Worker
 from repro.models.queueing import mmk_mean_wait
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
@@ -214,18 +215,18 @@ class TestArrivalSeam:
 
 
 class TestJBSQ:
-    def test_outstanding_never_exceeds_depth(self):
+    def test_outstanding_never_exceeds_depth(self, monkeypatch):
         config = concord_no_steal(5.0, jbsq_depth=2)
         server = Server(c6420(4), config, seed=9)
         seen = []
-        for worker in server.workers:
-            original = worker.enqueue
+        original = Worker.enqueue
 
-            def checked(request, ready_at, w=worker, orig=original):
-                orig(request, ready_at)
-                seen.append(w.outstanding)
+        def checked(worker, request, ready_at):
+            original(worker, request, ready_at)
+            seen.append(worker.outstanding)
 
-            worker.enqueue = checked
+        # Class level: a slotted Worker has no per-instance methods.
+        monkeypatch.setattr(Worker, "enqueue", checked)
         server.run(bimodal_50_1_50_100(), PoissonProcess(60_000), 1500)
         assert seen
         assert max(seen) <= 2

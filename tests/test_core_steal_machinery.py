@@ -3,6 +3,7 @@ begin/interrupt/pause/resume, quantum capping, and buffer exclusivity
 (section 3.3)."""
 
 from repro.core import Server, concord
+from repro.core.dispatcher import Dispatcher
 from repro.hardware import c6420
 from repro.workloads import PoissonProcess
 from repro.workloads.distributions import bimodal
@@ -60,20 +61,20 @@ class TestStealSlices:
             # A stolen request never ran on a worker: dispatcher-only.
             assert record.last_worker is None
 
-    def test_one_outstanding_stolen_context(self):
+    def test_one_outstanding_stolen_context(self, monkeypatch):
         # The dedicated buffer holds at most one partially-executed stolen
         # request; instrument _begin_steal to observe the invariant.
         server = Server(c6420(2), concord(5.0), seed=9)
-        dispatcher = server.dispatcher
-        original = dispatcher._begin_steal
+        original = Dispatcher._begin_steal
         violations = []
 
-        def checked():
+        def checked(dispatcher):
             if dispatcher._steal_request is not None:
                 violations.append("begin while slice active")
-            original()
+            original(dispatcher)
 
-        dispatcher._begin_steal = checked
+        # Class level: a slotted Dispatcher has no per-instance methods.
+        monkeypatch.setattr(Dispatcher, "_begin_steal", checked)
         server.run(bimodal_50_1_50_100(), PoissonProcess(60_000), 2000)
         assert not violations
 
