@@ -21,6 +21,12 @@ from repro import constants
 
 __all__ = ["Dispatcher"]
 
+# The in-flight micro-action, which ``_next(epoch)`` applies when its cost
+# has elapsed: push a new request (d-rx) or a preempted one (d-requeue)
+# onto the central queue, hand one to a worker (d-push), or deliver a
+# preemption signal (d-signal).
+_RX, _REQUEUE, _PUSH, _SIGNAL = range(4)
+
 
 class Dispatcher:
     """The dispatcher agent; see module docstring."""
@@ -34,7 +40,7 @@ class Dispatcher:
         "locality_aware", "work_conserving", "costs", "policy", "_queued",
         "_heap", "rng_notice", "_poll_span", "workers", "probes", "rx",
         "preempts", "requeues", "ready_workers", "load_masks", "_in_action",
-        "crash_epoch", "_action_done", "_action_request", "_action_worker",
+        "crash_epoch", "_action", "_action_request", "_action_worker",
         "_signal_epoch", "busy_cycles", "actions_run", "signals_sent",
         "stale_signals_skipped", "steal_buffer", "_steal_request",
         "_steal_start", "_steal_completes", "_steal_end", "steals_started",
@@ -91,11 +97,11 @@ class Dispatcher:
         #: pending action-finish event carries the epoch it was posted
         #: under and goes stale on mismatch (same trick as worker epochs).
         self.crash_epoch = 0
-        #: The in-flight micro-action (only one runs at a time): what to do
-        #: when it finishes, and the request (rx/requeue/push) and worker
+        #: The in-flight micro-action (only one runs at a time): its code
+        #: (``_RX``, ...), and the request (rx/requeue/push) and worker
         #: (push/signal) it acts on.  A crash sweep accounts the request as
         #: lost.
-        self._action_done = None
+        self._action = None
         self._action_request = None
         self._action_worker = None
         self._signal_epoch = None
@@ -215,8 +221,46 @@ class Dispatcher:
             if epoch != self.crash_epoch:
                 return  # the server crashed mid-action; the sweep took over
             self._in_action = False
-            self._action_done()
-            self._action_request = None
+            action = self._action
+            sim = self.sim
+            now = sim.now
+            probes = self.probes
+            if action == _SIGNAL:
+                # The cache-line write / IPI just completed; the worker
+                # reacts after the mechanism's notice latency plus any
+                # safety deferral.
+                worker = self._action_worker
+                server = self.server
+                delay = server.mechanism.notice_delay_cycles(
+                    server.rng_notice
+                )
+                current = worker.current
+                if current is not None and server.safety_defers:
+                    elapsed = now - (worker.run_start or now)
+                    delay += server.defer_cycles(
+                        current.kind, elapsed if elapsed > 0 else 0
+                    )
+                seq = sim._seq = sim._seq + 1
+                heappush(self._heap, (
+                    now + int(delay), seq, worker.signal_cb,
+                    self._signal_epoch,
+                ))
+            else:
+                request = self._action_request
+                self._action_request = None
+                if action == _PUSH:
+                    worker = self._action_worker
+                    if probes is not None:
+                        probes.request_dispatched(now, request, worker.wid)
+                    worker.enqueue(request, now + self.costs.sq_receive)
+                elif action == _REQUEUE:
+                    self.policy.push_preempted(request)
+                    if probes is not None:
+                        probes.request_enqueued(now, request, requeued=True)
+                else:
+                    self.policy.push_new(request)
+                    if probes is not None:
+                        probes.request_enqueued(now, request)
         faults = self.server.faults
         if faults is not None and faults.down:
             return  # crashed: the dispatcher core is dark until recovery
@@ -232,7 +276,7 @@ class Dispatcher:
                 self.stale_signals_skipped += 1
                 continue
             self.signals_sent += 1
-            self._action_done = self._deliver_signal
+            self._action = _SIGNAL
             self._action_worker = worker
             self._signal_epoch = aimed
             cost = costs.signal
@@ -242,13 +286,13 @@ class Dispatcher:
             if self.requeues:
                 # 2. Preempted contexts returning to the central queue.
                 self._action_request = self.requeues.popleft()
-                self._action_done = self._push_preempted
+                self._action = _REQUEUE
                 cost = costs.requeue
                 name = "d-requeue"
             elif self.rx:
                 # 3. New packets.
                 self._action_request = self.rx.popleft()
-                self._action_done = self._push_new
+                self._action = _RX
                 cost = costs.rx
                 name = "d-rx"
             else:
@@ -284,7 +328,7 @@ class Dispatcher:
                     return
                 self._action_request = request
                 self._action_worker = target
-                self._action_done = self._complete_dispatch
+                self._action = _PUSH
                 cost = costs.push + costs.jbsq_scan
                 name = "d-push"
 
@@ -321,48 +365,6 @@ class Dispatcher:
             if mask:
                 return self.workers[(mask & -mask).bit_length() - 1]
         return None
-
-    def _push_new(self):
-        request = self._action_request
-        self.policy.push_new(request)
-        probes = self.probes
-        if probes is not None:
-            probes.request_enqueued(self.sim.now, request)
-
-    def _push_preempted(self):
-        request = self._action_request
-        self.policy.push_preempted(request)
-        probes = self.probes
-        if probes is not None:
-            probes.request_enqueued(self.sim.now, request, requeued=True)
-
-    def _complete_dispatch(self):
-        request = self._action_request
-        worker = self._action_worker
-        now = self.sim.now
-        probes = self.probes
-        if probes is not None:
-            probes.request_dispatched(now, request, worker.wid)
-        worker.enqueue(request, now + self.costs.sq_receive)
-
-    def _deliver_signal(self):
-        """The cache-line write / IPI just completed; the worker reacts after
-        the mechanism's notice latency plus any safety deferral."""
-        worker = self._action_worker
-        server = self.server
-        now = self.sim.now
-        delay = server.mechanism.notice_delay_cycles(server.rng_notice)
-        current = worker.current
-        if current is not None and server.safety_defers:
-            elapsed = now - (worker.run_start or now)
-            delay += server.defer_cycles(
-                current.kind, elapsed if elapsed > 0 else 0
-            )
-        sim = self.sim
-        seq = sim._seq = sim._seq + 1
-        heappush(self._heap, (
-            now + int(delay), seq, worker.signal_cb, self._signal_epoch,
-        ))
 
     # -- work conservation (section 3.3) --------------------------------------------------
 

@@ -53,7 +53,7 @@ class FCFSPolicy:
         (section 3.3: "the dispatcher can only pick up non-started requests
         from the central queue")."""
         for i, request in enumerate(self.queue):
-            if not request.started:
+            if request.first_dispatch_cycle is None:
                 del self.queue[i]
                 return request
         return None
@@ -105,7 +105,7 @@ class SRPTPolicy:
         found = None
         while self.queue:
             entry = heapq.heappop(self.queue)
-            if not entry[2].started:
+            if entry[2].first_dispatch_cycle is None:
                 found = entry[2]
                 break
             stash.append(entry)

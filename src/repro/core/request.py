@@ -57,10 +57,6 @@ class Request:
         self.payload = payload
 
     @property
-    def started(self):
-        return self.first_dispatch_cycle is not None
-
-    @property
     def done(self):
         return self.completion_cycle is not None
 
@@ -97,13 +93,16 @@ class ArrivalFeed:
     their ``arrival_cycle`` is left for ``deliver`` to stamp.
     """
 
-    __slots__ = ("_sim", "_to_cycles", "_stream", "_deliver")
+    __slots__ = ("_sim", "_to_cycles", "_stream", "_deliver", "_fire_cb")
 
     def __init__(self, sim, clock, stream, deliver):
         self._sim = sim
         self._to_cycles = clock.us_to_cycles
         self._stream = enumerate(stream)
         self._deliver = deliver
+        #: The arrival timer's callback, bound once (see
+        #: :mod:`repro.sim.engine`).
+        self._fire_cb = self._fire
         self._post_next()
 
     def _post_next(self):
@@ -114,7 +113,9 @@ class ArrivalFeed:
             )
             cycle = to_cycles(t_us)
             now = self._sim.now
-            self._sim.post_at(cycle if cycle > now else now, self._fire, request)
+            self._sim.post_at(
+                cycle if cycle > now else now, self._fire_cb, request
+            )
             return
 
     def _fire(self, request):

@@ -1,6 +1,6 @@
 """Probe events: the vocabulary of the observability layer.
 
-Every probe the simulation emits is one flat tuple of atoms::
+Every probe the simulation emits reads as one flat tuple of atoms::
 
     (t, kind, rid, wid, *values)
 
@@ -10,11 +10,15 @@ the event is not about a specific request or worker.  ``FIELDS[kind]``
 names the trailing ``values`` in order; :func:`event_data` and
 :func:`event_dict` give the named view.  Plain tuples compare and hash by
 value, and CPython stops tracking a tuple of atoms in the cyclic garbage
-collector once it survives a young-generation collection, so a long event
-log is never rescanned.  Nothing here may touch the wall clock, the
-filesystem, or process-global randomness: probe events ride inside the
-simulation and the repro-san purity certificate covers them (see
-``docs/determinism.md``).
+collector once it survives a young-generation collection, so flight
+recorder captures are never rescanned.  Nothing here may touch the wall
+clock, the filesystem, or process-global randomness: probe events ride
+inside the simulation and the repro-san purity certificate covers them
+(see ``docs/determinism.md``).
+
+A bus does not keep those tuples: its log stores each event's stamp and
+its other atoms in two columns and decodes them back to these tuples
+(see :class:`repro.obs.bus.EventLog`).
 
 The request lifecycle is::
 

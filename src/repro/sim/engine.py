@@ -15,7 +15,10 @@ handle: ``cancel(entry)`` marks its ``seq`` dead, and the drain loop
 discards dead entries when it reaches them, without counting them.
 Nothing is pushed before ``now`` and ``seq`` only grows, so every entry
 that has fired sorts before every entry still queued; ``cancel`` is
-therefore a no-op for an entry that already fired.
+therefore a no-op for an entry that already fired.  A dead entry the loop
+discarded can still sort after later entries when the run ended before
+``now`` reached its time (it drained, or stopped at ``until``), so the
+run remembers those until ``now`` passes them, and ``cancel`` skips them.
 
 The core runtime's per-slice timers skip even the ``post`` frame and push
 the same entry themselves, with a callback bound once when the agent is
@@ -58,6 +61,9 @@ class Simulator:
         #: Seqs of cancelled entries still queued; mutated in place, so
         #: the drain loop's alias stays valid.
         self._dead = set()
+        #: ``seq -> time`` of cancelled entries a run discarded while its
+        #: clock was still behind their time; ``cancel`` ignores them.
+        self._dropped = {}
         self._events_run = 0
         self._running = False
 
@@ -94,13 +100,10 @@ class Simulator:
 
     def cancel(self, entry):
         """Keep a queued ``entry`` from firing.  A no-op once the entry has
-        fired (it then sorts before the queue head), and harmless twice
-        while it is queued.  Once a run has dropped the entry, do not
-        cancel it again: a run that stops before ``now`` reaches its time
-        leaves it sorting after entries pushed later, so it would count as
-        a dead queued entry.  Every caller clears its handle on cancel."""
+        fired or a run has discarded it, and harmless twice while it is
+        queued."""
         heap = self._heap
-        if heap and entry >= heap[0]:
+        if heap and entry >= heap[0] and entry[1] not in self._dropped:
             self._dead.add(entry[1])
 
     # -- execution ------------------------------------------------------------
@@ -109,16 +112,25 @@ class Simulator:
         """Run until the queue drains, ``until`` cycles pass, or
         ``max_events`` events have executed — whichever comes first.
 
-        Returns the number of events executed during this call.
+        Returns the number of events executed during this call.  An
+        ``until`` before ``now`` raises :class:`SimulationError`.
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
+        if until is not None and until < self.now:
+            raise SimulationError(
+                "run(until={}) is before now={}".format(until, self.now)
+            )
         self._running = True
         heap = self._heap
         pop = heappop
         dead = self._dead
         executed = 0
         now = self.now
+        # ``seq -> time`` of the cancelled entries discarded since the last
+        # event ran, and the event count they followed.
+        discarded = {}
+        discarded_after = 0
         try:
             # ``while True`` rather than ``while heap``: CPython 3.11 counts
             # warm-up (and so quickens this once-entered frame) only on a
@@ -136,6 +148,10 @@ class Simulator:
                 time, seq, callback, arg = entry
                 if seq in dead:
                     dead.remove(seq)
+                    if executed != discarded_after:
+                        discarded = {}
+                        discarded_after = executed
+                    discarded[seq] = time
                     continue
                 if until is not None and time > until:
                     # Past the bound: leave it queued for a later run.
@@ -156,6 +172,15 @@ class Simulator:
             self._events_run += executed
         finally:
             self._running = False
+        if discarded and discarded_after == executed:
+            # No event ran after these, so ``now`` may be short of them.
+            self._dropped.update(discarded)
+        if self._dropped:
+            # Those ``now`` has reached sort before every later entry.
+            now = self.now
+            self._dropped = {
+                seq: time for seq, time in self._dropped.items() if time > now
+            }
         return executed
 
     # -- introspection ----------------------------------------------------------

@@ -14,6 +14,7 @@ whose accesses then take the slower ``*_WITH_HINT`` forms.
 """
 
 import dis
+import inspect
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ import pytest
 import repro
 from repro.core import Server, concord
 from repro.core.dispatcher import Dispatcher
+from repro.core.request import ArrivalFeed
 from repro.core.worker import Worker
 from repro.hardware import c6420
 from repro.workloads import PoissonProcess, bimodal_50_1_50_100
@@ -64,6 +66,43 @@ class TestInstanceLayout:
         server = concord_server()
         assert len(vars(server)) <= SHARED_KEYS_MAX_SIZE
         assert len(vars(server.sim)) <= SHARED_KEYS_MAX_SIZE
+
+
+def methods_loaded_as_values(function, cls):
+    """The methods of ``cls`` that ``function`` reads as values: each such
+    read builds a new bound method, through an attribute load CPython 3.11
+    cannot specialize.  A method call is ``LOAD_METHOD`` before 3.12 and a
+    ``LOAD_ATTR`` flagged ``NULL|self`` from 3.12 on."""
+    methods = {
+        name for name, value in vars(cls).items() if inspect.isfunction(value)
+    }
+    return [
+        instr.argval
+        for instr in dis.get_instructions(function)
+        if instr.opname == "LOAD_ATTR" and instr.argval in methods
+        and "NULL|self" not in instr.argrepr
+    ]
+
+
+class TestBoundMethods:
+    def test_hot_functions_build_no_bound_method(self):
+        for function, cls in (
+            (Dispatcher._next, Dispatcher), (ArrivalFeed._post_next, ArrivalFeed),
+        ):
+            assert methods_loaded_as_values(function, cls) == [], (
+                function.__qualname__
+            )
+
+    def test_the_check_sees_a_method_read_as_a_value(self):
+        class Agent:
+            def tick(self):
+                return self.tock
+
+            def tock(self):
+                return self.tick()
+
+        assert methods_loaded_as_values(Agent.tick, Agent) == ["tock"]
+        assert methods_loaded_as_values(Agent.tock, Agent) == []
 
 
 def hinted(function):

@@ -516,8 +516,13 @@ class TestFaultProbes:
         assert {ev.CRASH, ev.RECOVER, ev.RETRY} <= kinds
         gc.collect()
         assert not any(
+            gc.is_tracked(atom)
+            for bus in session.buses for atom in bus.events.atoms
+        )
+        assert not any(
             gc.is_tracked(event)
-            for bus in session.buses for event in bus.events
+            for bus in session.buses for capture in bus.recorder.captures
+            for event in capture["events"]
         )
 
     def test_shed_events_emitted(self):

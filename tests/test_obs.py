@@ -121,6 +121,84 @@ class TestProbeEvent:
         assert list(FIELDS) == list(ev.EVENT_KINDS)
 
 
+class TestEventLog:
+    """A bus stores its log column-wise and reads it back as the probes'
+    tuples."""
+
+    EXPECTED = [
+        (5, ev.ARRIVAL, 7, None, "short", 900),
+        (6, ev.ENQUEUE, 7, None),
+        (6, ev.ACTION, None, None, "d-rx", 10),
+        (9, ev.ENQUEUE, 7, None, True),
+        (12, ev.COMPLETE, 7, None, 1.5, 1, True),
+        (13, ev.WORKER_IDLE, None, 2),
+        (14, ev.ENQUEUE, 7, None),
+    ]
+
+    @staticmethod
+    def emit(bus):
+        from repro.core.request import Request
+
+        request = Request(7, "short", 0, 900, 0.45)
+        bus.request_arrival(5, request)
+        bus.request_enqueued(6, request)
+        bus.dispatcher_action(6, "d-rx", 10)
+        bus.request_enqueued(9, request, requeued=True)
+        request.completion_cycle = 1350
+        request.preemptions = 1
+        request.started_by_dispatcher = True
+        bus.request_completed(12, request)
+        bus.worker_went_idle(13, 2)
+        bus.request_enqueued(14, request)
+        return bus
+
+    def test_log_reads_back_the_probes_tuples(self):
+        from repro.obs import ProbeBus
+
+        events = self.emit(ProbeBus()).events
+        assert list(events) == self.EXPECTED
+        assert len(events) == len(self.EXPECTED) and events
+        assert events == self.EXPECTED
+        assert events != self.EXPECTED[:-1]
+        assert events == self.emit(ProbeBus()).events
+        assert events[0] == self.EXPECTED[0]
+        assert events[3] == self.EXPECTED[3]
+        assert events[-1] == self.EXPECTED[-1]
+        for index in (len(self.EXPECTED), -len(self.EXPECTED) - 1):
+            with pytest.raises(IndexError):
+                events[index]
+        with pytest.raises(TypeError):
+            hash(events)
+
+    def test_ring_gets_the_same_tuples_and_an_off_log_stays_empty(self):
+        from repro.obs import ProbeBus
+
+        bus = self.emit(ProbeBus(record_events=False,
+                                 recorder=FlightRecorder(capacity=64)))
+        assert list(bus.recorder.ring) == self.EXPECTED
+        assert bus.events == [] and not bus.events and len(bus.events) == 0
+
+    def test_traced_run_retains_under_80_bytes_per_event(self):
+        # The stamps cost 8 bytes each in their array and the other atoms
+        # one list slot each; a tuple per event and a separate int per
+        # stamp cost about 130 bytes.
+        import tracemalloc
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with tracing(TraceConfig.full()) as session:
+                run_server(num_requests=2000)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        events = sum(len(bus.events) for bus in session.buses)
+        assert events > 100_000
+        assert retained / events < 80
+
+
 # -- registry ----------------------------------------------------------------
 
 
@@ -502,8 +580,9 @@ class TestInstrumentedRun:
             assert len(event) == 4 + len(values), event
 
     def test_records_leave_the_cyclic_gc(self):
-        # A tuple of atoms is untracked at its first young collection, so
-        # a long log costs full collections nothing.
+        # The stored log is a stamp array and one list of untracked atoms,
+        # and a captured tuple of atoms is untracked at its first young
+        # collection, so a long log costs full collections nothing.
         with tracing(TraceConfig.full(slowdown_trigger=1.0)) as session:
             run_server(num_requests=600)
         gc.collect()
@@ -514,7 +593,8 @@ class TestInstrumentedRun:
             for event in capture["events"]
         ]
         assert bus.events and captured
-        tracked = [e for e in bus.events + captured if gc.is_tracked(e)]
+        tracked = [a for a in bus.events.atoms if gc.is_tracked(a)]
+        tracked += [e for e in captured if gc.is_tracked(e)]
         assert tracked == []
 
     def test_flight_only_records_no_event_log(self):

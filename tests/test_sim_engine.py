@@ -103,6 +103,21 @@ def test_run_until_stops_clock_at_bound():
     assert fired == [10, 100]
 
 
+def test_run_until_before_now_raises_and_keeps_the_clock():
+    sim = Simulator()
+    fired = []
+    sim.post(100, fired.append, 100)
+    sim.post(200, fired.append, 200)
+    sim.run(max_events=1)
+    with pytest.raises(SimulationError, match="until=50.*now=100"):
+        sim.run(until=50)
+    assert sim.now == 100
+    assert sim.run(until=100) == 0
+    sim.post(10, fired.append, 110)
+    sim.run()
+    assert fired == [100, 110, 200]
+
+
 def test_run_max_events_bounds_execution():
     sim = Simulator()
     count = []
@@ -419,6 +434,34 @@ class TestCancellationAccounting:
         sim.cancel(entry)
         assert sim.pending == 1
         assert sim.run() == 1
+
+    def test_cancel_after_a_run_discarded_the_entry_ahead_of_the_clock(self):
+        # The run drains with ``now`` still before the discarded entry's
+        # time, so it sorts after entries posted later.
+        sim = Simulator()
+        fired = []
+        entry = sim.post_at(100, fired.append, "cancelled")
+        sim.cancel(entry)
+        sim.run()
+        sim.post_at(10, fired.append, "g")
+        sim.cancel(entry)
+        assert sim.pending == 1
+        sim.run()
+        assert (fired, sim.pending, sim._dead) == (["g"], 0, set())
+
+    def test_cancel_after_a_bounded_run_discarded_the_entry(self):
+        sim = Simulator()
+        fired = []
+        entry = sim.post_at(100, fired.append, "cancelled")
+        sim.cancel(entry)
+        sim.post_at(200, fired.append, 200)
+        assert sim.run(until=50) == 0
+        sim.post_at(60, fired.append, 60)
+        sim.cancel(entry)
+        assert sim.pending == 2
+        sim.run()
+        assert (fired, sim.pending, sim._dead) == ([60, 200], 0, set())
+        assert sim._dropped == {}
 
     def test_popped_dead_entries_drain_the_counter(self):
         sim = Simulator()
