@@ -171,15 +171,14 @@ class ClusterResult(SimResult):
         if balancer.resilience is not None:
             table = balancer.resilience.table
             seen = set()
-            unique = []
-            for record in self.records:
-                rid = record.rid
+            first = bytearray(len(self.records))
+            for row, rid in enumerate(self.records.rid):
                 if rid in seen or not table[rid].done:
                     continue
                 seen.add(rid)
-                unique.append(record)
-            self.duplicate_records = len(self.records) - len(unique)
-            self.records = unique
+                first[row] = 1
+            self.duplicate_records = len(self.records) - len(seen)
+            self.records.retain(first)
         #: Requests the balancer routed to each server.
         self.routed = list(balancer.routed)
         self.replies = balancer.replies
@@ -244,11 +243,11 @@ class ClusterResult(SimResult):
         the slowdown SLO — requests that were lost, shed, failed, or
         completed unusably late all count against it, which is what makes
         telemetry blackouts (nothing lost, tail exploded) visible."""
-        measured = self.measured_records(warmup_frac)
+        measured = self.slowdowns(warmup_frac)
         offered_window = max(
             1, self.num_offered - (len(self.records) - len(measured))
         )
-        good = sum(1 for r in measured if r.slowdown() <= slo)
+        good = sum(1 for slowdown in measured if slowdown <= slo)
         return good / offered_window
 
     def imbalance(self):

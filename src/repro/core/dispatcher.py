@@ -45,7 +45,7 @@ class Dispatcher:
         "stale_signals_skipped", "steal_buffer", "_steal_request",
         "_steal_start", "_steal_completes", "_steal_end", "steals_started",
         "steal_completions", "steal_busy_cycles", "_next_cb",
-        "_register_ready_cb",
+        "_register_ready_cb", "_finish_slice_cb", "_pause_steal_cb",
     )
 
     def __init__(self, sim, server):
@@ -87,6 +87,8 @@ class Dispatcher:
         #: Timer callbacks, bound once (see :mod:`repro.sim.engine`).
         self._next_cb = self._next
         self._register_ready_cb = self._register_ready
+        self._finish_slice_cb = self._finish_slice
+        self._pause_steal_cb = self._pause_steal
         for worker in self.workers:
             worker.dispatcher = self
             worker.load_masks = self.load_masks
@@ -392,7 +394,7 @@ class Dispatcher:
         self._steal_start = exec_start
         self._steal_completes = completes
         self._steal_end = self.sim.post_at(
-            exec_start + slice_len, self._finish_slice
+            exec_start + slice_len, self._finish_slice_cb
         )
         probes = self.probes
         if probes is not None:
@@ -443,7 +445,7 @@ class Dispatcher:
             return
         self._steal_end = None
         self.sim.cancel(end)
-        self.sim.post_at(stop_at, self._pause_steal)
+        self.sim.post_at(stop_at, self._pause_steal_cb)
 
     def _pause_steal(self, _):
         if self._steal_request is None:

@@ -26,7 +26,7 @@ from repro.core.config import NoSafety
 from repro.core.dispatcher import Dispatcher
 from repro.core.policies import make_policy
 from repro.core.preemption import NoPreemption
-from repro.core.request import ArrivalFeed
+from repro.core.request import ArrivalFeed, RecordLog
 from repro.core.worker import Worker
 from repro.obs.session import resolve_probes
 from repro.sim.engine import Simulator
@@ -89,6 +89,13 @@ class SimResult:
     several servers (replicated partitions, rack members) subclass it and
     pass :func:`pooled` fields of their part results, so every paper
     metric below is computed here and nowhere else.
+
+    ``records`` is the server's :class:`~repro.core.request.RecordLog`:
+    the completed requests, column-wise, read as a sequence of
+    :class:`~repro.core.request.Request` objects.  :meth:`slowdowns` (and
+    so :meth:`summary`) and the rack's SLO goodput read its columns and
+    decode no record; :meth:`measured_records` and iteration decode one
+    request per record.
     """
 
     def __init__(self, config_name, quantum_us, clock, records, worker_stats,
@@ -102,7 +109,8 @@ class SimResult:
         self.last_arrival_cycle = last_arrival
         self.end_cycle = end_cycle
         self.drained = drained
-        #: Completed requests, in completion order.
+        #: Completed requests, in completion order (a
+        #: :class:`~repro.core.request.RecordLog`).
         self.records = records
         self.worker_stats = worker_stats
         self.dispatcher_stats = dispatcher_stats
@@ -114,17 +122,23 @@ class SimResult:
     def slowdowns(self, warmup_frac=0.1):
         """Per-request slowdowns, discarding the warmup prefix by arrival
         order (section 5.1 discards the first 10% of samples)."""
-        return [r.slowdown() for r in self.measured_records(warmup_frac)]
+        return self.records.slowdowns(self._warmup(warmup_frac))
 
     def measured_records(self, warmup_frac=0.1):
+        """The records :meth:`slowdowns` measures, in arrival order (ties
+        in completion order)."""
+        skip = self._warmup(warmup_frac)
+        records = self.records
+        return [records[i] for i in records.arrival_order()[skip:]]
+
+    def _warmup(self, warmup_frac):
+        """How many of the earliest arrivals the warmup discards."""
         # Imported lazily: repro.metrics imports the server module (the
         # sweep harness), so a top-level import would be circular.
         from repro.metrics.slowdown import check_warmup_frac
 
         check_warmup_frac(warmup_frac)
-        ordered = sorted(self.records, key=lambda r: r.arrival_cycle)
-        skip = int(len(ordered) * warmup_frac)
-        return ordered[skip:]
+        return int(len(self.records) * warmup_frac)
 
     def client_latencies_us(self, warmup_frac=0.1,
                             rtt_ns=constants.NETWORK_RTT_NS):
@@ -191,12 +205,12 @@ class SimResult:
 
 def pooled(parts):
     """:class:`SimResult` fields merged over ``parts`` (a non-empty list of
-    part results): records in completion order, worker stats concatenated,
-    dispatcher stats summed, the first arrival over the parts that
-    completed anything and the latest end.  A pooled subclass adds its own
-    name, offered count and drain flag."""
-    records = [record for part in parts for record in part.records]
-    records.sort(key=lambda r: r.completion_cycle)
+    part results): records merged in completion order (ties in part
+    order) without decoding any, worker stats concatenated, dispatcher
+    stats summed, the first arrival over the parts that completed
+    anything and the latest end.  A pooled subclass adds its own name,
+    offered count and drain flag."""
+    records = RecordLog.merged([part.records for part in parts])
     firsts = [part.first_arrival_cycle for part in parts if part.records]
     return dict(
         quantum_us=parts[0].quantum_us,
@@ -276,7 +290,9 @@ class Server:
                 + constants.RDTSC_INSTRUMENTATION_OVERHEAD
             )
 
-        self.completed = []
+        #: Completed requests (see :class:`~repro.core.request.RecordLog`);
+        #: becomes the result's ``records``.
+        self.completed = RecordLog()
         #: Optional callback fired on every completion — the seam the
         #: cluster load balancer uses to observe replies.
         self.on_complete = None
@@ -322,6 +338,8 @@ class Server:
         )
 
     def record_completion(self, request):
+        """Log the completed ``request``'s fields, then hand the live
+        request to the probe bus and ``on_complete``."""
         self.completed.append(request)
         probes = self.probes
         if probes is not None:

@@ -1,6 +1,9 @@
 """Integration tests for the simulated server: conservation, determinism,
 queueing-theory agreement, and the paper's qualitative invariants."""
 
+import math
+import statistics
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,11 +12,12 @@ from repro.core import Server, concord, persephone_fcfs, shinjuku
 from repro.core.presets import concord_no_steal, coop_jbsq, ideal_single_queue
 from repro.core.request import Request
 from repro.core.worker import Worker
-from repro.models.queueing import mmk_mean_wait
+from repro.models.queueing import mg1_mean_wait, mmk_mean_wait
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.workloads import (
     Exponential,
+    Fixed,
     PoissonProcess,
     Trace,
     TraceRecord,
@@ -130,6 +134,31 @@ class TestQueueingAgreement:
             rate_rps / 1e6, 1.0 / mean_us, workers
         )  # per-us rates
         assert mean_wait == pytest.approx(expected, rel=0.25)
+
+    @pytest.mark.parametrize("service, scv", [
+        (Fixed(10.0), 0.0), (Exponential(10.0), 1.0),
+    ], ids=["fixed", "exponential"])
+    def test_ideal_mg1_matches_pollaczek_khinchine(self, service, scv):
+        # Zero-overhead single queue on one worker == M/G/1, whose mean
+        # wait is the Pollaczek-Khinchine formula.  Each seed's mean wait is
+        # one sample; the tolerance is the Student-t 99% interval over the
+        # seeds, so it follows the simulator's own spread.
+        rate_rps, mean_us, n = 70_000, 10.0, 20_000
+        workload = ClassMix([RequestClass("g", 1.0, service)], name="g")
+        means = []
+        for seed in range(5):
+            server = Server(c6420(1), ideal_single_queue(), seed=seed)
+            result = server.run(workload, PoissonProcess(rate_rps), n)
+            clock = server.clock
+            waits_us = [
+                clock.cycles_to_us(r.sojourn_cycles()) - r.service_us
+                for r in result.measured_records()
+            ]
+            means.append(sum(waits_us) / len(waits_us))
+        expected = mg1_mean_wait(rate_rps / 1e6, mean_us, scv)
+        stderr = statistics.stdev(means) / math.sqrt(len(means))
+        t99_4dof = 4.604
+        assert abs(statistics.fmean(means) - expected) <= t99_4dof * stderr
 
 
 class TestArrivalSeam:

@@ -93,6 +93,14 @@ class TestBoundMethods:
                 function.__qualname__
             )
 
+    def test_steal_slice_timers_build_no_bound_method(self):
+        # Each steal slice posts its finish timer and each pause its pause
+        # timer: both callbacks are bound once, at construction.
+        for function in (Dispatcher._begin_steal, Dispatcher._interrupt_steal):
+            assert methods_loaded_as_values(function, Dispatcher) == [], (
+                function.__qualname__
+            )
+
     def test_the_check_sees_a_method_read_as_a_value(self):
         class Agent:
             def tick(self):
